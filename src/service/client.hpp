@@ -6,23 +6,22 @@
 /// persistent connection; queries may be pipelined (send() repeatedly,
 /// then recv() each reply) or issued synchronously with query().
 ///
-/// All socket I/O retries EINTR and sends with MSG_NOSIGNAL — a daemon
-/// shutting down underneath the client produces ProtocolError /
-/// std::runtime_error, never SIGPIPE.
+/// Socket I/O goes through the util::net blocking helpers, which retry
+/// EINTR and never raise SIGPIPE — a daemon shutting down underneath the
+/// client produces ProtocolError / std::runtime_error.
 
 #include <cstdint>
 
 #include "service/protocol.hpp"
+#include "util/net.hpp"
 
 namespace fxg::service {
 
 class QueryClient {
 public:
     /// Connects to 127.0.0.1:`port`; throws std::runtime_error on
-    /// failure.
+    /// failure. The destructor closes the connection.
     explicit QueryClient(int port);
-
-    ~QueryClient();
 
     QueryClient(const QueryClient&) = delete;
     QueryClient& operator=(const QueryClient&) = delete;
@@ -40,13 +39,13 @@ public:
 
     /// The raw connected socket (tests use it to simulate abrupt
     /// disconnects and half-written frames).
-    [[nodiscard]] int fd() const noexcept { return fd_; }
+    [[nodiscard]] int fd() const noexcept { return fd_.get(); }
 
     /// Closes the connection (idempotent; the destructor also closes).
     void close() noexcept;
 
 private:
-    int fd_ = -1;
+    util::net::Fd fd_;
     FrameReader reader_;
 };
 

@@ -1,18 +1,9 @@
 #include "service/compassd.hpp"
 
 #include "snapshot/state.hpp"
+#include "util/net.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -23,38 +14,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void set_nonblocking(int fd) {
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+HeadingReply shed_reply(std::uint64_t request_id, std::uint32_t retry_after_ms,
+                        const char* detail) {
+    HeadingReply reply;
+    reply.request_id = request_id;
+    reply.status = ReplyStatus::Shed;
+    reply.retry_after_ms = retry_after_ms;
+    reply.detail = detail;
+    return reply;
 }
 
-/// Best-effort non-blocking send of a whole small frame (used only for
-/// the over-budget Shed-and-close path, where the socket buffer of a
-/// fresh connection always has room). MSG_NOSIGNAL throughout.
-void send_best_effort(int fd, const std::vector<std::uint8_t>& bytes) noexcept {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-        const ssize_t n =
-            ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-        if (n > 0) {
-            off += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR) continue;
-        return;
-    }
+std::string frame_bytes(const HeadingReply& reply) {
+    const std::vector<std::uint8_t> bytes = encode_reply(reply);
+    return {bytes.begin(), bytes.end()};
 }
 
 }  // namespace
-
-/// One accepted query connection, owned by the io loop.
-struct CompassService::ClientConn {
-    int fd = -1;
-    std::uint64_t id = 0;  ///< stable identity for reply routing
-    FrameReader reader;
-    std::string out;         ///< encoded reply frames being flushed
-    std::size_t out_off = 0;
-    bool closing = false;  ///< flush remaining output, then close
-};
 
 /// One admitted query waiting for (or riding) a batch.
 struct CompassService::PendingQuery {
@@ -111,41 +86,18 @@ CompassService::~CompassService() { stop(); }
 void CompassService::start() {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (running_) {
+        if (reactor_ != nullptr) {
             throw std::runtime_error("CompassService: already running");
         }
     }
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-        throw std::runtime_error(std::string("CompassService: socket: ") +
-                                 std::strerror(errno));
-    }
-    const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, 64) < 0) {
-        const std::string what =
-            std::string("CompassService: bind/listen: ") + std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-    set_nonblocking(fd);
-
-    if (::pipe(wake_pipe_) < 0) {
-        const std::string what =
-            std::string("CompassService: pipe: ") + std::strerror(errno);
-        ::close(fd);
-        throw std::runtime_error(what);
-    }
-    set_nonblocking(wake_pipe_[0]);
-    set_nonblocking(wake_pipe_[1]);
+    // Past the connection budget the reactor answers one Shed frame and
+    // closes: the refusal is explicit and immediate, not a connection
+    // parked in a growing backlog.
+    auto reactor = std::make_unique<util::net::Reactor>(
+        config_.port, config_.max_connections,
+        frame_bytes(shed_reply(0, config_.retry_after_ms, "connection budget exhausted")),
+        std::chrono::milliseconds(0));
 
     // Anchor every ladder before the first query: the single-axis and
     // hold-last-good rungs need a last-good measurement to lean on.
@@ -161,53 +113,93 @@ void CompassService::start() {
             }));
     }
 
+    // The io loop: decode, admit or shed, fail closed on a bad stream.
+    const auto count_shed = [this] {
+        shed_.fetch_add(1, std::memory_order_relaxed);
+        shed_counter_->inc();
+    };
+    util::net::Reactor::Handlers handlers;
+    handlers.on_input = [this, count_shed](util::net::Reactor::Conn& conn) {
+        try {
+            // Decode every complete frame; a partial one stays in `in`.
+            FrameReader reader;
+            reader.feed(reinterpret_cast<const std::uint8_t*>(conn.in.data()),
+                        conn.in.size());
+            Frame frame;
+            while (reader.next(frame)) {
+                const HeadingRequest req = decode_request(frame);
+                bool admitted = false;
+                {
+                    const std::lock_guard<std::mutex> lock(queue_mutex_);
+                    if (static_cast<int>(queue_.size()) + inflight_ <
+                        config_.max_pending) {
+                        queue_.push_back(PendingQuery{
+                            conn.id, req.request_id,
+                            static_cast<int>(next_member_++ %
+                                             static_cast<std::uint64_t>(
+                                                 config_.members)),
+                            Clock::now()});
+                        admitted = true;
+                    }
+                }
+                if (admitted) {
+                    requests_.fetch_add(1, std::memory_order_relaxed);
+                    requests_counter_->inc();
+                    queue_cv_.notify_one();
+                } else {
+                    conn.out += frame_bytes(shed_reply(req.request_id, config_.retry_after_ms,
+                                                      "pending-query budget exhausted"));
+                    count_shed();
+                }
+            }
+            conn.in.erase(0, conn.in.size() - reader.buffered());
+        } catch (const ProtocolError& e) {
+            // Fail closed: answer with the diagnostic, flush, close. No
+            // resynchronisation on a corrupt stream.
+            protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+            HeadingReply err;
+            err.status = ReplyStatus::Error;
+            err.detail = e.what();
+            conn.out += frame_bytes(err);
+            conn.closing = true;
+        }
+    };
+    handlers.on_refused = count_shed;
+    // A reply whose connection has closed is dropped and counted: the
+    // peer hung up before its answer.
+    handlers.on_lost = [this] { disconnects_.fetch_add(1, std::memory_order_relaxed); };
+    reactor->start(pool_, std::move(handlers));
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd_ = fd;
-        port_ = ntohs(addr.sin_port);
+        reactor_ = std::move(reactor);
         stopping_.store(false, std::memory_order_relaxed);
-        loops_running_ = 2;
-        running_ = true;
+        batch_exited_ = pool_.post([this] { batch_loop(); });
     }
-    pool_.post([this] { io_loop(); });
-    pool_.post([this] { batch_loop(); });
 }
 
 void CompassService::stop() {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        if (!running_) return;
+        if (reactor_ == nullptr) return;
     }
     stopping_.store(true, std::memory_order_seq_cst);
     queue_cv_.notify_all();
-    wake_io();
+    batch_exited_.wait();  // the batch loop delivers through the reactor
     {
-        std::unique_lock<std::mutex> lock(mutex_);
-        loops_exited_.wait(lock, [this] { return loops_running_ == 0; });
-        if (listen_fd_ >= 0) {
-            ::close(listen_fd_);
-            listen_fd_ = -1;
-        }
-        for (int& fd : wake_pipe_) {
-            if (fd >= 0) {
-                ::close(fd);
-                fd = -1;
-            }
-        }
-        running_ = false;
-        port_ = 0;
+        const std::lock_guard<std::mutex> lock(mutex_);
+        reactor_.reset();  // stops and joins the io loop
     }
     fleet_.stop_introspection();
 }
 
 bool CompassService::running() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return running_;
+    return reactor_ != nullptr;
 }
 
 int CompassService::port() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return port_;
+    return reactor_ != nullptr ? reactor_->port() : 0;
 }
 
 int CompassService::introspection_port() const {
@@ -225,220 +217,6 @@ ServiceStats CompassService::stats() const {
     s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
     s.disconnects = disconnects_.load(std::memory_order_relaxed);
     return s;
-}
-
-void CompassService::wake_io() noexcept {
-    // A full pipe already guarantees a pending wakeup; losing this
-    // byte is then harmless.
-    const char byte = 1;
-    ssize_t n;
-    do {
-        n = ::write(wake_pipe_[1], &byte, 1);
-    } while (n < 0 && errno == EINTR);
-}
-
-void CompassService::io_loop() {
-    int listen_fd;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        listen_fd = listen_fd_;
-    }
-
-    std::vector<std::unique_ptr<ClientConn>> conns;
-    std::vector<pollfd> pfds;
-    std::uint64_t next_conn_id = 1;
-
-    const auto append_reply = [&](ClientConn& conn, const HeadingReply& reply) {
-        const std::vector<std::uint8_t> bytes = encode_reply(reply);
-        conn.out.append(reinterpret_cast<const char*>(bytes.data()),
-                        bytes.size());
-    };
-
-    while (!stopping_.load(std::memory_order_relaxed)) {
-        // Slot 0 = listener (only while a connection slot is free; the
-        // over-budget path below sheds, so the listener stays watched),
-        // slot 1 = the batch loop's doorbell, then one slot per client.
-        pfds.clear();
-        pfds.push_back(pollfd{listen_fd, POLLIN, 0});
-        pfds.push_back(pollfd{wake_pipe_[0], POLLIN, 0});
-        for (const auto& c : conns) {
-            short events = 0;
-            if (!c->closing) events |= POLLIN;
-            if (c->out_off < c->out.size()) events |= POLLOUT;
-            pfds.push_back(pollfd{c->fd, events, 0});
-        }
-
-        const int ready =
-            ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 100);
-        if (ready < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-
-        // Doorbell: drain it, then route completed replies to their
-        // connections (a reply whose connection died is dropped and
-        // counted — the peer hung up before its answer).
-        if ((pfds[1].revents & POLLIN) != 0) {
-            char sink[64];
-            while (::read(wake_pipe_[0], sink, sizeof sink) > 0) {}
-        }
-        {
-            std::vector<std::pair<std::uint64_t, HeadingReply>> ready_now;
-            {
-                const std::lock_guard<std::mutex> lock(ready_mutex_);
-                ready_now.swap(ready_);
-            }
-            for (const auto& [conn_id, reply] : ready_now) {
-                const auto it = std::find_if(
-                    conns.begin(), conns.end(),
-                    [conn_id](const auto& c) { return c->id == conn_id; });
-                if (it == conns.end()) {
-                    disconnects_.fetch_add(1, std::memory_order_relaxed);
-                    continue;
-                }
-                append_reply(**it, reply);
-            }
-        }
-
-        // Accept every pending client; past the budget, shed-and-close
-        // (bounded accept: the refusal is explicit and immediate, not a
-        // connection parked in a growing backlog).
-        if ((pfds[0].revents & POLLIN) != 0) {
-            for (;;) {
-                const int client = ::accept(listen_fd, nullptr, nullptr);
-                if (client < 0) {
-                    if (errno == EINTR) continue;
-                    break;
-                }
-                if (static_cast<int>(conns.size()) >= config_.max_connections) {
-                    HeadingReply shed;
-                    shed.status = ReplyStatus::Shed;
-                    shed.retry_after_ms = config_.retry_after_ms;
-                    shed.detail = "connection budget exhausted";
-                    send_best_effort(client, encode_reply(shed));
-                    ::close(client);
-                    shed_.fetch_add(1, std::memory_order_relaxed);
-                    shed_counter_->inc();
-                    continue;
-                }
-                set_nonblocking(client);
-                auto conn = std::make_unique<ClientConn>();
-                conn->fd = client;
-                conn->id = next_conn_id++;
-                conns.push_back(std::move(conn));
-            }
-        }
-
-        // Only the connections that were in THIS poll set have revents;
-        // just-accepted ones (conns grew above) wait for the next pass.
-        std::size_t polled = pfds.size() - 2;
-        for (std::size_t i = 0; i < polled; ++i) {
-            ClientConn& c = *conns[i];
-            const short revents = pfds[i + 2].revents;
-            bool drop = false;
-
-            if (!c.closing && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-                std::uint8_t buf[4096];
-                for (;;) {
-                    const ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
-                    if (n > 0) {
-                        c.reader.feed(buf, static_cast<std::size_t>(n));
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // drained
-                    }
-                    drop = true;  // EOF or hard error: peer is gone
-                    break;
-                }
-                try {
-                    Frame frame;
-                    while (c.reader.next(frame)) {
-                        const HeadingRequest req = decode_request(frame);
-                        bool admitted = false;
-                        {
-                            const std::lock_guard<std::mutex> lock(queue_mutex_);
-                            if (static_cast<int>(queue_.size()) + inflight_ <
-                                config_.max_pending) {
-                                queue_.push_back(PendingQuery{
-                                    c.id, req.request_id,
-                                    static_cast<int>(next_member_++ %
-                                                     static_cast<std::uint64_t>(
-                                                         config_.members)),
-                                    Clock::now()});
-                                admitted = true;
-                            }
-                        }
-                        if (admitted) {
-                            requests_.fetch_add(1, std::memory_order_relaxed);
-                            requests_counter_->inc();
-                            queue_cv_.notify_one();
-                        } else {
-                            HeadingReply shed;
-                            shed.request_id = req.request_id;
-                            shed.status = ReplyStatus::Shed;
-                            shed.retry_after_ms = config_.retry_after_ms;
-                            shed.detail = "pending-query budget exhausted";
-                            append_reply(c, shed);
-                            shed_.fetch_add(1, std::memory_order_relaxed);
-                            shed_counter_->inc();
-                        }
-                    }
-                } catch (const ProtocolError& e) {
-                    // Fail closed: answer with the diagnostic, flush,
-                    // close. No resynchronisation on a corrupt stream.
-                    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-                    HeadingReply err;
-                    err.status = ReplyStatus::Error;
-                    err.detail = e.what();
-                    append_reply(c, err);
-                    c.closing = true;
-                    drop = false;  // give the flush a chance first
-                }
-            }
-
-            if (!drop && c.out_off < c.out.size() &&
-                (revents & (POLLOUT | POLLHUP | POLLERR)) != 0) {
-                while (c.out_off < c.out.size()) {
-                    const ssize_t n =
-                        ::send(c.fd, c.out.data() + c.out_off,
-                               c.out.size() - c.out_off, MSG_NOSIGNAL);
-                    if (n > 0) {
-                        c.out_off += static_cast<std::size_t>(n);
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR) continue;
-                    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-                        break;  // buffer full; wait for POLLOUT
-                    }
-                    drop = true;  // peer gone mid-reply (EPIPE, no signal)
-                    disconnects_.fetch_add(1, std::memory_order_relaxed);
-                    break;
-                }
-                if (c.out_off == c.out.size()) {
-                    c.out.clear();
-                    c.out_off = 0;
-                    if (c.closing) drop = true;  // flushed; close now
-                }
-            }
-
-            if (drop) {
-                ::close(c.fd);
-                conns.erase(conns.begin() + static_cast<std::ptrdiff_t>(i));
-                pfds.erase(pfds.begin() + static_cast<std::ptrdiff_t>(i + 2));
-                --polled;
-                --i;
-            }
-        }
-    }
-
-    for (const auto& c : conns) ::close(c->fd);
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --loops_running_;
-        loops_exited_.notify_all();
-    }
 }
 
 HeadingReply CompassService::resolve_member(int member,
@@ -551,26 +329,20 @@ void CompassService::batch_loop() {
 
         // Stamp per-query identity and hand the replies to the io loop.
         const Clock::time_point done = Clock::now();
-        {
-            const std::lock_guard<std::mutex> lock(ready_mutex_);
-            for (const PendingQuery& q : batch) {
-                HeadingReply reply = outcome.at(q.member);
-                reply.request_id = q.request_id;
-                latency_hist_->observe(
-                    std::chrono::duration<double>(done - q.admitted).count());
-                ready_.emplace_back(q.conn_id, std::move(reply));
-            }
+        util::net::Reactor::Mail mail;
+        mail.reserve(batch.size());
+        for (const PendingQuery& q : batch) {
+            HeadingReply reply = outcome.at(q.member);
+            reply.request_id = q.request_id;
+            latency_hist_->observe(
+                std::chrono::duration<double>(done - q.admitted).count());
+            mail.emplace_back(q.conn_id, frame_bytes(reply));
         }
-        wake_io();
+        reactor_->deliver(std::move(mail));
         {
             const std::lock_guard<std::mutex> lock(queue_mutex_);
             inflight_ = 0;
         }
-    }
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --loops_running_;
-        loops_exited_.notify_all();
     }
 }
 

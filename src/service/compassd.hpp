@@ -12,14 +12,12 @@
 /// Architecture — two long-lived tasks posted on the service's own
 /// TaskPool, joined by bounded queues:
 ///
-///   io loop     poll-multiplexed, non-blocking: accepts connections
-///               (up to max_connections; excess get a Shed frame and an
-///               immediate close), parses request frames incrementally,
-///               admits queries into the pending queue (bounded by
-///               max_pending; overflow answers Shed with Retry-After
-///               semantics *immediately* — load shedding is fast), and
-///               flushes completed reply frames back to their clients.
-///               All sends use MSG_NOSIGNAL; a client disconnecting
+///   io loop     a handler on a util::net::Reactor (DESIGN.md §16) that
+///               decodes request frames and admits queries into the
+///               pending queue (bounded by max_pending; overflow answers
+///               Shed with Retry-After semantics *immediately* — load
+///               shedding is fast). Connections past max_connections get
+///               one Shed frame and a close; a client disconnecting
 ///               mid-anything costs its own connection, nothing else.
 ///
 ///   batch loop  sleeps until queries are pending, swaps out the whole
@@ -27,7 +25,8 @@
 ///               during the previous batch rides the next one), runs
 ///               one CompassFleet::measure_all_results — the SoA
 ///               lane-engine fan-out — and resolves each query from its
-///               round-robin-assigned member's result.
+///               round-robin-assigned member's result, then delivers
+///               the replies through the reactor.
 ///
 /// Fault integration: each member owns a fault::MeasurementSupervisor.
 /// The batch path serves members whose measurement is healthy (ok +
@@ -45,6 +44,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -53,6 +53,10 @@
 #include "fault/supervisor.hpp"
 #include "service/protocol.hpp"
 #include "util/task_pool.hpp"
+
+namespace fxg::util::net {
+class Reactor;
+}
 
 namespace fxg::service {
 
@@ -148,16 +152,13 @@ public:
     }
 
 private:
-    struct ClientConn;
     struct PendingQuery;
 
-    void io_loop();
     void batch_loop();
     /// Resolves one member's batch slot into the reply fields every
     /// query assigned to that member shares this batch.
     [[nodiscard]] HeadingReply resolve_member(
         int member, const compass::FleetResult& result);
-    void wake_io() noexcept;
 
     ServiceConfig config_;
     util::TaskPool pool_;  ///< owns the io/batch workers and fleet batches
@@ -172,13 +173,11 @@ private:
 
     // Lifecycle (guarded by mutex_).
     mutable std::mutex mutex_;
-    std::condition_variable loops_exited_;
-    int listen_fd_ = -1;
-    int port_ = 0;
-    int loops_running_ = 0;
-    bool running_ = false;
+    /// Query socket and io loop, set while running; the batch loop hands
+    /// replies to it with deliver().
+    std::unique_ptr<util::net::Reactor> reactor_;
+    std::future<void> batch_exited_;  ///< ready once the batch loop returned
     std::atomic<bool> stopping_{false};
-    int wake_pipe_[2] = {-1, -1};  ///< batch loop -> io loop doorbell
 
     // Pending-query queue (guarded by queue_mutex_). `inflight_` counts
     // queries swapped out by the batch loop but not yet answered; the
@@ -188,10 +187,6 @@ private:
     std::vector<PendingQuery> queue_;
     int inflight_ = 0;
     std::uint64_t next_member_ = 0;  ///< round-robin assignment cursor
-
-    // Completed replies awaiting the io loop (guarded by ready_mutex_).
-    std::mutex ready_mutex_;
-    std::vector<std::pair<std::uint64_t, HeadingReply>> ready_;  ///< (conn id, reply)
 
     // Statistics.
     std::atomic<std::uint64_t> requests_{0};

@@ -106,12 +106,17 @@ void TaskPool::parallel_for(int n, int max_workers,
     batch->done.wait(lock, [&] { return batch->remaining == 0; });
 }
 
-void TaskPool::post(std::function<void()> task) {
+std::future<void> TaskPool::post(std::function<void()> task) {
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> finished = done->get_future();
     auto batch = std::make_shared<Batch>();
-    batch->owned_fn = [this, task = std::move(task)](int) {
+    batch->owned_fn = [this, done, task = std::move(task)](int) {
         task();
-        const std::lock_guard<std::mutex> lock(mutex_);
-        --detached_active_;
+        {
+            const std::lock_guard<std::mutex> lock(mutex_);
+            --detached_active_;
+        }
+        done->set_value();
     };
     batch->fn = &batch->owned_fn;
     batch->n = 1;
@@ -127,6 +132,7 @@ void TaskPool::post(std::function<void()> task) {
     }
     ensure_threads(target);
     wake_.notify_one();
+    return finished;
 }
 
 }  // namespace fxg::util

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -57,9 +58,10 @@ public:
     /// batches: one extra worker is kept available per active posted
     /// task. A posted task must return before the pool is destroyed —
     /// the destructor joins workers, so a task that outlives its
-    /// submitter's stop() call would deadlock teardown. shared() is
-    /// never destroyed and is exempt from that concern.
-    void post(std::function<void()> task);
+    /// submitter's stop() call would deadlock teardown; waiting on the
+    /// returned future (ready once the task has returned) ensures it.
+    /// shared() is never destroyed and is exempt from that concern.
+    std::future<void> post(std::function<void()> task);
 
     /// Workers currently alive.
     [[nodiscard]] int thread_count() const;
