@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "telemetry/exporters.hpp"
@@ -131,33 +133,54 @@ int CompassFleet::introspection_port() const {
     return introspection_running() ? introspection_->port() : 0;
 }
 
-std::exception_ptr CompassFleet::measure_all_impl(int threads,
-                                                  std::vector<FleetResult>& results) {
-    const int n = size();
-    results.assign(static_cast<std::size_t>(n), FleetResult{});
+std::exception_ptr CompassFleet::measure_impl(std::span<const int> ids, int threads,
+                                              std::vector<FleetResult>& results) {
+    // Validate the whole list before touching any member: an id listed
+    // twice would put two lanes (or two workers) on one Compass.
+    std::vector<char> listed(members_.size(), 0);
+    for (const int id : ids) {
+        if (id < 0 || id >= size()) {
+            throw std::out_of_range("CompassFleet::measure_members: member " +
+                                    std::to_string(id) + " out of range");
+        }
+        char& seen = listed[static_cast<std::size_t>(id)];
+        if (seen != 0) {
+            throw std::invalid_argument("CompassFleet::measure_members: member " +
+                                        std::to_string(id) + " listed twice");
+        }
+        seen = 1;
+    }
+
+    const int n = static_cast<int>(ids.size());
+    results.assign(ids.size(), FleetResult{});
     if (threads == 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
         if (threads < 1) threads = 1;
     }
 
-    // One member's failure lands in its own slot only. Per-slot
-    // exception storage (instead of a first-writer-wins race) makes the
-    // exception measure_all rethrows deterministic: always the lowest
-    // failing member index, whatever the thread interleaving.
-    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
-    auto measure_one = [&](int i) {
-        FleetResult& slot = results[static_cast<std::size_t>(i)];
+    // Slot k belongs to member ids[k]. One member's failure lands in its
+    // own slot only. Per-slot exception storage (instead of a
+    // first-writer-wins race) makes the exception measure_all rethrows
+    // deterministic: always the first failing slot, whatever the thread
+    // interleaving. The failure hook gets the fleet index.
+    std::vector<std::exception_ptr> errors(ids.size());
+    auto fail = [&](int k, std::string error, std::exception_ptr ptr) {
+        FleetResult& slot = results[static_cast<std::size_t>(k)];
+        slot.error = std::move(error);
+        errors[static_cast<std::size_t>(k)] = std::move(ptr);
+        if (failure_hook_) failure_hook_(ids[static_cast<std::size_t>(k)], slot.error);
+    };
+    auto measure_one = [&](int k) {
+        FleetResult& slot = results[static_cast<std::size_t>(k)];
         try {
-            slot.measurement = members_[static_cast<std::size_t>(i)]->measure();
+            slot.measurement =
+                members_[static_cast<std::size_t>(ids[static_cast<std::size_t>(k)])]
+                    ->measure();
             slot.ok = true;
         } catch (const std::exception& e) {
-            slot.error = e.what();
-            errors[static_cast<std::size_t>(i)] = std::current_exception();
-            if (failure_hook_) failure_hook_(i, slot.error);
+            fail(k, e.what(), std::current_exception());
         } catch (...) {
-            slot.error = "unknown error";
-            errors[static_cast<std::size_t>(i)] = std::current_exception();
-            if (failure_hook_) failure_hook_(i, slot.error);
+            fail(k, "unknown error", std::current_exception());
         }
     };
 
@@ -187,45 +210,41 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
         return first_error_in_order(errors);
     }
 
-    // Auto: chunk members into lane groups; each pool task runs one
-    // group through the SoA lane engine (several members per vector
-    // instruction). A group with a traced member runs per-member so
-    // every trace tree stays complete; run_lanes itself falls back for
-    // ineligible configurations. Results are bit-identical either way.
+    // Auto: chunk the listed members, in list order, into lane groups;
+    // each pool task runs one group through the SoA lane engine
+    // (several members per vector instruction). A group with a traced
+    // member runs per-member so every trace tree stays complete;
+    // run_lanes itself falls back for ineligible configurations.
+    // Results are bit-identical either way.
     const int groups = (n + kLaneGroupSize - 1) / kLaneGroupSize;
     auto measure_group = [&](int g) {
         const int begin = g * kLaneGroupSize;
         const int count = std::min(kLaneGroupSize, n - begin);
+        std::vector<Compass*> lanes(static_cast<std::size_t>(count));
         bool traced = false;
-        for (int i = begin; i < begin + count; ++i) {
-            const telemetry::TelemetrySink* sink =
-                members_[static_cast<std::size_t>(i)]->telemetry();
+        for (int k = 0; k < count; ++k) {
+            Compass* member =
+                members_[static_cast<std::size_t>(ids[static_cast<std::size_t>(begin + k)])]
+                    .get();
+            lanes[static_cast<std::size_t>(k)] = member;
             // Only sinks that reconstruct per-member span trees force
             // the fallback; the always-on black box aggregates and
             // keeps the lane path (it answers false here).
-            if (sink != nullptr && sink->requires_member_trace()) {
-                traced = true;
-            }
+            const telemetry::TelemetrySink* sink = member->telemetry();
+            if (sink != nullptr && sink->requires_member_trace()) traced = true;
         }
         if (traced) {
-            for (int i = begin; i < begin + count; ++i) measure_one(i);
+            for (int k = begin; k < begin + count; ++k) measure_one(k);
             return;
         }
-        std::vector<Compass*> lanes(static_cast<std::size_t>(count));
         std::vector<LaneOutcome> outcomes(static_cast<std::size_t>(count));
-        for (int k = 0; k < count; ++k) {
-            lanes[static_cast<std::size_t>(k)] =
-                members_[static_cast<std::size_t>(begin + k)].get();
-        }
         PlanExecutor::run_lanes(*plan_, lanes, outcomes);
         for (int k = 0; k < count; ++k) {
-            const LaneOutcome& out = outcomes[static_cast<std::size_t>(k)];
-            FleetResult& slot = results[static_cast<std::size_t>(begin + k)];
+            LaneOutcome& out = outcomes[static_cast<std::size_t>(k)];
             if (out.aborted) {
-                slot.error = out.error;
-                errors[static_cast<std::size_t>(begin + k)] = out.error_ptr;
-                if (failure_hook_) failure_hook_(begin + k, slot.error);
+                fail(begin + k, std::move(out.error), std::move(out.error_ptr));
             } else {
+                FleetResult& slot = results[static_cast<std::size_t>(begin + k)];
                 slot.measurement = out.measurement;
                 slot.ok = true;
             }
@@ -235,21 +254,35 @@ std::exception_ptr CompassFleet::measure_all_impl(int threads,
     return first_error_in_order(errors);
 }
 
+std::exception_ptr CompassFleet::measure_every(int threads,
+                                               std::vector<FleetResult>& results) {
+    std::vector<int> ids(members_.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    return measure_impl(ids, threads, results);
+}
+
 std::vector<FleetResult> CompassFleet::measure_all_results(int threads) {
     std::vector<FleetResult> results;
-    static_cast<void>(measure_all_impl(threads, results));
+    static_cast<void>(measure_every(threads, results));
     return results;
 }
 
 std::vector<Measurement> CompassFleet::measure_all(int threads) {
     std::vector<FleetResult> results;
-    if (std::exception_ptr error = measure_all_impl(threads, results)) {
+    if (std::exception_ptr error = measure_every(threads, results)) {
         std::rethrow_exception(error);
     }
     std::vector<Measurement> measurements;
     measurements.reserve(results.size());
     for (auto& r : results) measurements.push_back(r.measurement);
     return measurements;
+}
+
+std::vector<FleetResult> CompassFleet::measure_members(std::span<const int> members,
+                                                       int threads) {
+    std::vector<FleetResult> results;
+    static_cast<void>(measure_impl(members, threads, results));
+    return results;
 }
 
 }  // namespace fxg::compass

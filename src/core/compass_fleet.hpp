@@ -10,7 +10,9 @@
 /// (shared across fleets and calls — no per-batch thread churn) and
 /// returns every result in member order. Results are identical to
 /// measuring each compass serially — threading changes wall-clock
-/// time, nothing else.
+/// time, nothing else. measure_members() runs the same dispatch over a
+/// listed subset, so a caller that needs a few members (compassd
+/// answering a batch of queries) pays for those members only.
 
 #include <atomic>
 #include <cstddef>
@@ -18,6 +20,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,7 +42,7 @@ struct FleetResult {
     std::string error;          ///< exception message when !ok
 };
 
-/// How measure_all dispatches members.
+/// How measure_all and measure_members dispatch members.
 enum class FleetExecution {
     /// Chunk members into lane groups and run each group through the
     /// SoA SIMD lane engine (PlanExecutor::run_lanes) — bit-identical
@@ -74,8 +77,9 @@ public:
     /// each task amortises its gather/scatter over full stripes.
     static constexpr int kLaneGroupSize = 16;
 
-    /// Dispatch strategy for measure_all (default Auto — lane-batched
-    /// where eligible; results are bit-identical either way).
+    /// Dispatch strategy for measure_all and measure_members (default
+    /// Auto — lane-batched where eligible; results are bit-identical
+    /// either way).
     void set_execution(FleetExecution execution) noexcept { execution_ = execution; }
     [[nodiscard]] FleetExecution execution() const noexcept { return execution_; }
 
@@ -134,9 +138,9 @@ public:
     }
 
     /// Called (from worker threads — must be thread-safe) for every
-    /// member whose measurement threw, with the member index and the
-    /// exception text. This is the postmortem trigger seam: a black-box
-    /// owner freezes the recorder and emits a bundle from here.
+    /// member whose measurement threw, with the member's fleet index
+    /// and the exception text. This is the postmortem trigger seam: a
+    /// black-box owner freezes the recorder and emits a bundle from here.
     void set_member_failure_hook(
         std::function<void(int, const std::string&)> hook) {
         failure_hook_ = std::move(hook);
@@ -187,10 +191,33 @@ public:
     /// failed, otherwise returns the bare Measurements in member order.
     std::vector<Measurement> measure_all(int threads = 1);
 
+    /// Runs one measurement on each listed member only and returns the
+    /// results in the order of `members` (results[k] belongs to member
+    /// members[k]). The listed members are packed into lane groups in
+    /// list order and go through the same dispatch as measure_all, so a
+    /// member's bits do not depend on which other members ride along.
+    /// Members not listed are not touched: their pipeline state, and
+    /// with it their simulated clock (noise stream, scenario playhead),
+    /// does not advance. The failure hook and the /healthz counters
+    /// (members_measured, member_errors, batches_total) see the listed
+    /// members under their fleet indices.
+    ///
+    /// Throws std::out_of_range for an id outside [0, size()) and
+    /// std::invalid_argument for an id listed twice (two lanes on one
+    /// Compass would race); both checks run before any member is
+    /// measured. An empty list measures nothing and counts one batch.
+    std::vector<FleetResult> measure_members(std::span<const int> members,
+                                             int threads = 1);
+
 private:
-    /// Shared batch driver: fills `results` in member order and returns
-    /// the first caught exception (nullptr when all ok).
-    std::exception_ptr measure_all_impl(int threads, std::vector<FleetResult>& results);
+    /// The one dispatch routine behind measure_all* and measure_members:
+    /// validates `ids`, fills results[k] for member ids[k] and returns
+    /// the first caught exception in list order (nullptr when all ok).
+    std::exception_ptr measure_impl(std::span<const int> ids, int threads,
+                                    std::vector<FleetResult>& results);
+
+    /// measure_impl over every member, 0..size()-1.
+    std::exception_ptr measure_every(int threads, std::vector<FleetResult>& results);
 
     /// Installs `user_sink` (may be null) teed with the black box on
     /// every member.

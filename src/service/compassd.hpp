@@ -22,11 +22,16 @@
 ///
 ///   batch loop  sleeps until queries are pending, swaps out the whole
 ///               queue (the coalescing step: every query that queued up
-///               during the previous batch rides the next one), runs
-///               one CompassFleet::measure_all_results — the SoA
-///               lane-engine fan-out — and resolves each query from its
-///               round-robin-assigned member's result, then delivers
-///               the replies through the reactor.
+///               during the previous batch rides the next one), collects
+///               the batch's distinct round-robin-assigned members in
+///               first-query order, runs one
+///               CompassFleet::measure_members over just those — the
+///               SoA lane-engine fan-out — and resolves each query from
+///               its member's result, then delivers the replies through
+///               the reactor. Batch cost grows with the members queried,
+///               not with fleet size: a member nobody queried is not
+///               measured, so its simulated clock (noise stream,
+///               scenario playhead) does not advance.
 ///
 /// Fault integration: each member owns a fault::MeasurementSupervisor.
 /// The batch path serves members whose measurement is healthy (ok +
@@ -89,13 +94,18 @@ struct ServiceConfig {
 };
 
 /// Serving statistics (all monotone; readable from any thread).
+///
+/// The three outcome counters (and fxg_service_degraded_total) count
+/// one per *member per batch*, not one per reply: every query a member
+/// serves in one batch shares that member's outcome, so two pipelined
+/// queries to one member in one batch count once.
 struct ServiceStats {
     std::uint64_t requests = 0;        ///< queries admitted
     std::uint64_t shed = 0;            ///< queries refused by admission
     std::uint64_t batches = 0;         ///< fleet batches dispatched
-    std::uint64_t replies_ok = 0;
-    std::uint64_t replies_degraded = 0;  ///< Degraded + Stale
-    std::uint64_t replies_error = 0;
+    std::uint64_t replies_ok = 0;        ///< member outcomes resolved Ok
+    std::uint64_t replies_degraded = 0;  ///< member outcomes Degraded + Stale
+    std::uint64_t replies_error = 0;     ///< member outcomes Error
     std::uint64_t protocol_errors = 0;   ///< malformed frames (conn closed)
     std::uint64_t disconnects = 0;       ///< peers gone before their reply
 };
@@ -203,7 +213,7 @@ private:
     telemetry::Histogram* batch_size_hist_ = nullptr;
     telemetry::Counter* requests_counter_ = nullptr;
     telemetry::Counter* shed_counter_ = nullptr;
-    telemetry::Counter* degraded_counter_ = nullptr;
+    telemetry::Counter* degraded_counter_ = nullptr;  ///< per member per batch
 };
 
 }  // namespace fxg::service

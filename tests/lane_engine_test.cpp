@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -20,6 +23,7 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "sim/lane_engine.hpp"
+#include "snapshot/state.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/probes.hpp"
 #include "telemetry/sink.hpp"
@@ -450,6 +454,160 @@ TEST(CompassFleet, TrappedMembersReportDeterministicFirstError) {
     // measure_all rethrows the lowest failing member's exception, not
     // whichever worker lost the race.
     EXPECT_THROW(static_cast<void>(fleet.measure_all(2)), std::overflow_error);
+}
+
+// ------------------------------------------------- fleet member subsets
+
+/// 40 of 64 members, scrambled, so the subset spans three lane groups
+/// (16 + 16 + 8) whose members are not contiguous in the fleet.
+std::vector<int> scrambled_subset() {
+    std::vector<int> ids;
+    for (int k = 0; k < 40; ++k) ids.push_back((k * 37 + 11) % 64);
+    return ids;
+}
+
+std::vector<double> subset_headings(int n) {
+    std::vector<double> headings;
+    for (int i = 0; i < n; ++i) headings.push_back(i * 5.3 + 2.0);
+    return headings;
+}
+
+/// The fleet's /healthz counter `key` (e.g. "members_measured").
+std::uint64_t health_counter(const compass::CompassFleet& fleet,
+                             const std::string& key) {
+    const std::string text = fleet.health_text();
+    const std::size_t at = text.find("\n" + key + " ");
+    if (at == std::string::npos) return ~std::uint64_t{0};
+    return std::stoull(text.substr(at + key.size() + 2));
+}
+
+TEST(CompassFleet, MemberSubsetMatchesPerMemberBitForBit) {
+    constexpr int kFleet = 64;
+    const std::vector<int> ids = scrambled_subset();
+    ASSERT_GT(static_cast<int>(ids.size()), 2 * compass::CompassFleet::kLaneGroupSize);
+    const std::vector<double> headings = subset_headings(kFleet);
+
+    compass::CompassFleet lane_fleet(kFleet, lite_config());
+    compass::CompassFleet member_fleet(kFleet, lite_config());
+    compass::CompassFleet full_fleet(kFleet, lite_config());
+    member_fleet.set_execution(compass::FleetExecution::PerMember);
+    for (auto* f : {&lane_fleet, &member_fleet, &full_fleet}) {
+        f->set_environments(site(), headings);
+    }
+
+    const auto a = lane_fleet.measure_members(ids, 3);
+    const auto b = member_fleet.measure_members(ids, 3);
+    // Fresh members: a whole-fleet sweep gives each member the same
+    // first measurement, so slot k must hold member ids[k]'s result.
+    const auto all = full_fleet.measure_all_results(3);
+    ASSERT_EQ(a.size(), ids.size());
+    ASSERT_EQ(b.size(), ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "slot " << k << " member " << ids[k]);
+        ASSERT_TRUE(a[k].ok) << a[k].error;
+        ASSERT_TRUE(b[k].ok) << b[k].error;
+        expect_bit_identical(a[k].measurement, b[k].measurement);
+        expect_bit_identical(a[k].measurement,
+                             all[static_cast<std::size_t>(ids[k])].measurement);
+        expect_same_pipeline_state(lane_fleet.at(ids[k]), member_fleet.at(ids[k]));
+    }
+    EXPECT_EQ(health_counter(lane_fleet, "members_measured"), ids.size());
+    EXPECT_EQ(health_counter(lane_fleet, "batches_total"), 1u);
+}
+
+TEST(CompassFleet, MemberSubsetLeavesUnlistedMembersUntouched) {
+    constexpr int kFleet = 64;
+    const std::vector<int> ids = scrambled_subset();
+    compass::CompassFleet fleet(kFleet, lite_config());
+    fleet.set_environments(site(), subset_headings(kFleet));
+    std::vector<bool> listed(kFleet, false);
+    for (const int id : ids) listed[static_cast<std::size_t>(id)] = true;
+
+    std::vector<std::vector<std::uint8_t>> before;
+    for (int i = 0; i < kFleet; ++i) before.push_back(snapshot::snapshot_member(fleet, i));
+    static_cast<void>(fleet.measure_members(ids, 2));
+    for (int i = 0; i < kFleet; ++i) {
+        SCOPED_TRACE(i);
+        const auto after = snapshot::snapshot_member(fleet, i);
+        if (listed[static_cast<std::size_t>(i)]) {
+            EXPECT_NE(after, before[static_cast<std::size_t>(i)]);
+        } else {
+            EXPECT_EQ(after, before[static_cast<std::size_t>(i)]);
+        }
+    }
+}
+
+TEST(CompassFleet, MemberSubsetReportsFleetIndexToFailureHook) {
+    constexpr int kFleet = 32;
+    constexpr int kBad = 23;
+    compass::CompassFleet fleet(kFleet, lite_config());
+    fleet.set_environments(site(), subset_headings(kFleet));
+    digital::CounterHardware hw;
+    hw.width_bits = 8;
+    hw.trap_on_overflow = true;
+    fleet.at(kBad).counter().set_hardware(hw);
+
+    std::mutex mu;
+    std::vector<std::pair<int, std::string>> failures;
+    fleet.set_member_failure_hook([&](int index, const std::string& error) {
+        const std::lock_guard<std::mutex> lock(mu);
+        failures.emplace_back(index, error);
+    });
+
+    // The bad member sits at list position 2, inside the first group.
+    const std::vector<int> ids = {30, 4, kBad, 17, 0, 9};
+    for (const auto execution :
+         {compass::FleetExecution::Auto, compass::FleetExecution::PerMember}) {
+        failures.clear();
+        fleet.set_execution(execution);
+        const auto results = fleet.measure_members(ids, 2);
+        ASSERT_EQ(results.size(), ids.size());
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+            SCOPED_TRACE(ids[k]);
+            EXPECT_EQ(results[k].ok, ids[k] != kBad);
+        }
+        EXPECT_EQ(results[2].error, "UpDownCounter: register overflow");
+        ASSERT_EQ(failures.size(), 1u);
+        EXPECT_EQ(failures[0].first, kBad);
+        EXPECT_EQ(failures[0].second, "UpDownCounter: register overflow");
+    }
+    EXPECT_EQ(health_counter(fleet, "member_errors"), 2u);
+}
+
+TEST(CompassFleet, MemberSubsetRejectsBadIdsBeforeMeasuring) {
+    constexpr int kFleet = 20;
+    compass::CompassFleet fleet(kFleet, lite_config());
+    fleet.set_environments(site(), subset_headings(kFleet));
+    int hook_calls = 0;
+    fleet.set_member_failure_hook([&](int, const std::string&) { ++hook_calls; });
+
+    std::vector<std::vector<std::uint8_t>> before;
+    for (int i = 0; i < kFleet; ++i) before.push_back(snapshot::snapshot_member(fleet, i));
+
+    // The offending id comes last: every earlier member would already
+    // have been measured if validation ran lazily.
+    const std::vector<int> duplicate = {3, 7, 11, 3};
+    const std::vector<int> too_big = {1, 2, kFleet};
+    const std::vector<int> negative = {5, -1};
+    EXPECT_THROW(static_cast<void>(fleet.measure_members(duplicate, 2)),
+                 std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(fleet.measure_members(too_big, 2)),
+                 std::out_of_range);
+    EXPECT_THROW(static_cast<void>(fleet.measure_members(negative, 2)),
+                 std::out_of_range);
+
+    for (int i = 0; i < kFleet; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(snapshot::snapshot_member(fleet, i), before[static_cast<std::size_t>(i)]);
+    }
+    EXPECT_EQ(hook_calls, 0);
+    EXPECT_EQ(health_counter(fleet, "batches_total"), 0u);
+    EXPECT_EQ(health_counter(fleet, "members_measured"), 0u);
+
+    // An empty list is a valid, empty batch.
+    EXPECT_TRUE(fleet.measure_members({}, 2).empty());
+    EXPECT_EQ(health_counter(fleet, "batches_total"), 1u);
+    EXPECT_EQ(health_counter(fleet, "members_measured"), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "service/client.hpp"
 #include "service/compassd.hpp"
 #include "service/protocol.hpp"
+#include "snapshot/state.hpp"
 #include "telemetry/introspect.hpp"
 
 using namespace fxg;
@@ -245,6 +247,45 @@ TEST(ServiceTest, PipelinedQueriesCoalesceIntoFewerBatches) {
     const service::ServiceStats stats = daemon.stats();
     EXPECT_EQ(stats.requests, kQueries);
     EXPECT_LT(stats.batches, static_cast<std::uint64_t>(kQueries));
+    daemon.stop();
+}
+
+// Each batch measures only the members its queries were assigned to:
+// K serial queries (one per batch) cost exactly K member measurements
+// on a 64-member fleet, and a member nobody queried is not touched.
+TEST(ServiceTest, BatchMeasuresOnlyQueriedMembers) {
+    constexpr int kMembers = 64;
+    constexpr int kQueries = 12;
+    constexpr int kIdle = kMembers - 1;  // round-robin never reaches it
+    service::CompassService daemon(small_service(kMembers));
+    for (int i = 0; i < kMembers; ++i) {
+        daemon.fleet().set_environment(i, site(), 90.0 * (i % 4));
+    }
+    daemon.start();  // warmup measures through the supervisors, not the fleet
+
+    const auto members_measured = [&daemon] {
+        const std::string text = daemon.fleet().health_text();
+        const std::string key = "\nmembers_measured ";
+        const std::size_t at = text.find(key);
+        EXPECT_NE(at, std::string::npos);
+        return std::stoull(text.substr(at + key.size()));
+    };
+    const std::uint64_t measured_before = members_measured();
+    const std::vector<std::uint8_t> idle_before =
+        snapshot::snapshot_member(daemon.fleet(), kIdle);
+
+    service::QueryClient client(daemon.port());
+    for (int i = 0; i < kQueries; ++i) {
+        const HeadingReply reply = client.query(static_cast<std::uint64_t>(i) + 1);
+        EXPECT_EQ(reply.status, ReplyStatus::Ok);
+        EXPECT_EQ(reply.member, static_cast<std::uint32_t>(i));
+        EXPECT_NEAR(std::remainder(reply.heading_deg - 90.0 * (i % 4), 360.0), 0.0, 2.0);
+    }
+    // Replies leave the batch loop after its fleet sweep has finished,
+    // so the counter is final here.
+    EXPECT_EQ(members_measured() - measured_before,
+              static_cast<std::uint64_t>(kQueries));
+    EXPECT_EQ(snapshot::snapshot_member(daemon.fleet(), kIdle), idle_before);
     daemon.stop();
 }
 
