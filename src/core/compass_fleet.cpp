@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "telemetry/exporters.hpp"
+#include "util/simd.hpp"
 
 namespace fxg::compass {
 
@@ -133,6 +134,13 @@ int CompassFleet::introspection_port() const {
     return introspection_running() ? introspection_->port() : 0;
 }
 
+int CompassFleet::lane_group_size(int members, int threads) noexcept {
+    constexpr int kStripe = util::simd::kLanes;
+    const int per_worker = (members + std::max(threads, 1) - 1) / std::max(threads, 1);
+    const int stripes = (per_worker + kStripe - 1) / kStripe;
+    return std::clamp(stripes * kStripe, kStripe, kLaneGroupSize);
+}
+
 std::exception_ptr CompassFleet::measure_impl(std::span<const int> ids, int threads,
                                               std::vector<FleetResult>& results) {
     // Validate the whole list before touching any member: an id listed
@@ -210,16 +218,17 @@ std::exception_ptr CompassFleet::measure_impl(std::span<const int> ids, int thre
         return first_error_in_order(errors);
     }
 
-    // Auto: chunk the listed members, in list order, into lane groups;
-    // each pool task runs one group through the SoA lane engine
-    // (several members per vector instruction). A group with a traced
-    // member runs per-member so every trace tree stays complete;
-    // run_lanes itself falls back for ineligible configurations.
-    // Results are bit-identical either way.
-    const int groups = (n + kLaneGroupSize - 1) / kLaneGroupSize;
+    // Auto: chunk the listed members, in list order, into lane groups
+    // sized by lane_group_size; each pool task runs one group through
+    // the SoA lane engine (several members per vector instruction). A
+    // group with a traced member runs per-member so every trace tree
+    // stays complete; run_lanes itself falls back for ineligible
+    // configurations. Results are bit-identical either way.
+    const int group_size = lane_group_size(n, threads);
+    const int groups = (n + group_size - 1) / group_size;
     auto measure_group = [&](int g) {
-        const int begin = g * kLaneGroupSize;
-        const int count = std::min(kLaneGroupSize, n - begin);
+        const int begin = g * group_size;
+        const int count = std::min(group_size, n - begin);
         std::vector<Compass*> lanes(static_cast<std::size_t>(count));
         bool traced = false;
         for (int k = 0; k < count; ++k) {

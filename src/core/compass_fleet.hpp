@@ -72,10 +72,17 @@ public:
         return static_cast<int>(members_.size());
     }
 
-    /// Members a lane-batched group spans: a few SIMD stripes per task,
-    /// so the pool still has group-level parallelism to schedule while
-    /// each task amortises its gather/scatter over full stripes.
+    /// Most members a lane-batched group spans: a few SIMD stripes per
+    /// task, so the pool still has group-level parallelism to schedule
+    /// while each task amortises its gather/scatter over full stripes.
     static constexpr int kLaneGroupSize = 16;
+
+    /// Members per lane group when `members` members are dispatched on
+    /// `threads` workers: enough whole SIMD stripes (util::simd::kLanes)
+    /// to give every worker a group, capped at kLaneGroupSize. A short
+    /// list thus spreads over the workers instead of filling one group;
+    /// large lists keep kLaneGroupSize. Grouping never changes results.
+    [[nodiscard]] static int lane_group_size(int members, int threads) noexcept;
 
     /// Dispatch strategy for measure_all and measure_members (default
     /// Auto — lane-batched where eligible; results are bit-identical

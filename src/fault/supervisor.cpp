@@ -41,11 +41,16 @@ const char* to_string(SupervisedStatus status) noexcept {
 MeasurementSupervisor::MeasurementSupervisor(compass::Compass& compass,
                                              const SupervisorConfig& config)
     : compass_(compass), config_(config), monitor_(config.health),
-      plan_(compass.plan()), retry_plan_(compass::with_re_excite(plan_)) {}
+      plan_(compass.plan()), retry_plan_(compass::with_re_excite(plan_)),
+      single_axis_plans_{
+          compass::with_re_excite(compass::truncate_to_axis(plan_, analog::Channel::X)),
+          compass::with_re_excite(compass::truncate_to_axis(plan_, analog::Channel::Y))} {}
 
 void MeasurementSupervisor::reset() {
     last_good_.reset();
     staleness_s_ = 0.0;
+    settled_axis_.reset();
+    settled_runs_ = 0;
     monitor_.reset();
 }
 
@@ -106,6 +111,34 @@ SupervisedMeasurement MeasurementSupervisor::measure() {
     return out;
 }
 
+MeasurementSupervisor::SingleAxisRun MeasurementSupervisor::run_single_axis(
+    compass::PlanExecutor& executor, analog::Channel healthy) {
+    SingleAxisRun run;
+    try {
+        run.measurement = executor.run(single_axis_plans_[static_cast<std::size_t>(healthy)]);
+    } catch (const std::exception& e) {
+        run.aborted = true;
+        run.health.ok = false;
+        run.health.findings.push_back({FaultCode::MeasurementAborted, healthy, true, e.what()});
+        return run;
+    }
+    // The run ages the last-good anchor like any attempt that is not a
+    // good measurement.
+    staleness_s_ += run.measurement.duration_s;
+    // Only findings on the surviving axis disqualify the run: the other
+    // axis was not counted, so its stream and the field estimate are
+    // meaningless here. (That axis always reports ChannelNeverValid, so
+    // the report is never ok and the stationary heading track never
+    // learns from a partial heading.)
+    run.health = monitor_.check(compass_, run.measurement);
+    if (!run.health.implicates(healthy)) {
+        run.heading_deg = reconstruct_heading(
+            healthy, healthy == analog::Channel::X ? run.measurement.count_x
+                                                   : run.measurement.count_y);
+    }
+    return run;
+}
+
 SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     SupervisedMeasurement out;
     const int attempts_allowed = 1 + (config_.max_retries > 0 ? config_.max_retries : 0);
@@ -116,6 +149,32 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     telemetry::TelemetrySink* sink = compass_.telemetry();
     telemetry::Span ladder(sink, "supervise");
     compass::PlanExecutor executor(compass_);
+    const auto serve = [&](SupervisedStatus status) {
+        out.status = status;
+        if (sink != nullptr) sink->event(status_event(status), out.attempts);
+        ladder.set_value(static_cast<std::int64_t>(status));
+    };
+
+    // Settled rung: one degraded-plan run on the surviving axis, until
+    // the re-probe is due or the run fails.
+    if (settled_axis_ && settled_runs_ < kReprobeEvery) {
+        ++out.attempts;
+        SingleAxisRun run = run_single_axis(executor, *settled_axis_);
+        if (run.aborted) any_abort = true;
+        out.measurement = run.measurement;
+        out.health = std::move(run.health);
+        if (run.heading_deg) {
+            ++settled_runs_;
+            out.heading_deg = *run.heading_deg;
+            out.staleness_s = staleness_s_;
+            out.diagnostics = "settled: single-axis estimate";
+            serve(SupervisedStatus::DegradedSingleAxis);
+            return out;
+        }
+        out.diagnostics = "settled run: " + out.health.summary() + " | re-walk";
+    }
+    settled_axis_.reset();
+    settled_runs_ = 0;
 
     for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
         // Retry rung = plan rewrite: the ReExcite-prefixed plan power-
@@ -155,13 +214,10 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
         out.diagnostics += out.health.summary();
 
         if (out.health.ok) {
-            out.status = attempt == 0 ? SupervisedStatus::Ok
-                                      : SupervisedStatus::RecoveredRetry;
             out.heading_deg = out.measurement.heading_deg;
             staleness_s_ = 0.0;
+            serve(attempt == 0 ? SupervisedStatus::Ok : SupervisedStatus::RecoveredRetry);
             last_good_ = out;
-            if (sink != nullptr) sink->event(status_event(out.status), out.attempts);
-            ladder.set_value(static_cast<std::int64_t>(out.status));
             return out;
         }
         // Failed attempts still consume simulated time toward staleness.
@@ -172,32 +228,22 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     // remembered field magnitude lets us keep producing live headings —
     // re-plan onto the surviving axis: the truncated rewrite measures a
     // fresh count on the healthy channel only (after a power cycle),
-    // and the remembered circle radius supplies the missing axis.
+    // and the remembered circle radius supplies the missing axis. The
+    // rung then settles on that axis.
     const bool bad_x = out.health.implicates(analog::Channel::X);
     const bool bad_y = out.health.implicates(analog::Channel::Y);
     if (last_good_ && bad_x != bad_y) {
         const analog::Channel healthy =
             bad_x ? analog::Channel::Y : analog::Channel::X;
-        const compass::MeasurementPlan degraded_plan =
-            compass::with_re_excite(compass::truncate_to_axis(plan_, healthy));
-        std::optional<double> heading;
-        try {
-            const compass::Measurement partial = executor.run(degraded_plan);
-            heading = reconstruct_heading(
-                healthy, healthy == analog::Channel::X ? partial.count_x
-                                                       : partial.count_y);
-        } catch (const std::exception&) {
-            // The surviving axis aborted too: fall through the ladder.
-            any_abort = true;
-        }
-        if (heading) {
-            out.status = SupervisedStatus::DegradedSingleAxis;
-            out.heading_deg = *heading;
+        const SingleAxisRun run = run_single_axis(executor, healthy);
+        if (run.aborted) any_abort = true;
+        if (run.heading_deg) {
+            settled_axis_ = healthy;
+            out.heading_deg = *run.heading_deg;
             out.stale = false;
             out.staleness_s = staleness_s_;
             out.diagnostics += " | degraded: single-axis estimate";
-            if (sink != nullptr) sink->event(status_event(out.status), out.attempts);
-            ladder.set_value(static_cast<std::int64_t>(out.status));
+            serve(SupervisedStatus::DegradedSingleAxis);
             return out;
         }
     }
@@ -205,23 +251,16 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     // Both axes implicated (or nothing to reconstruct from): hold the
     // last good heading while it is fresh enough to be better than
     // nothing.
-    if (last_good_ && staleness_s_ <= config_.max_hold_s) {
-        out.status = SupervisedStatus::HoldLastGood;
-        out.heading_deg = last_good_->heading_deg;
-        out.stale = true;
-        out.staleness_s = staleness_s_;
-        out.diagnostics += " | hold last good";
-        if (sink != nullptr) sink->event(status_event(out.status), out.attempts);
-        ladder.set_value(static_cast<std::int64_t>(out.status));
-        return out;
-    }
-
-    out.status = SupervisedStatus::Failed;
     out.stale = true;
     out.staleness_s = staleness_s_;
+    if (last_good_ && staleness_s_ <= config_.max_hold_s) {
+        out.heading_deg = last_good_->heading_deg;
+        out.diagnostics += " | hold last good";
+        serve(SupervisedStatus::HoldLastGood);
+        return out;
+    }
     out.diagnostics += " | failed";
-    if (sink != nullptr) sink->event(status_event(out.status), out.attempts);
-    ladder.set_value(static_cast<std::int64_t>(out.status));
+    serve(SupervisedStatus::Failed);
     return out;
 }
 

@@ -31,7 +31,20 @@
 /// reconstructing the heading from the remembered circle radius. All
 /// attempts run through one PlanExecutor, so traces and physics
 /// samples look the same whichever rung served the heading.
+///
+/// The DegradedSingleAxis rung is sticky. A full walk that ends there
+/// settles the ladder on the surviving axis, and later measure() calls
+/// run only that axis' degraded plan (one plan per call, no retries, no
+/// re_excite events) and reconstruct the heading; the status served
+/// stays DegradedSingleAxis, never Ok. After kReprobeEvery settled runs
+/// the next call re-walks the whole ladder from rung 0, so a fault that
+/// cleared is noticed within kReprobeEvery + 1 calls. A settled run
+/// that aborts, cannot reconstruct, or whose health report implicates
+/// the surviving axis drops back to the full walk in the same call.
+/// HoldLastGood and Failed are never sticky: they have no plan to serve
+/// from, and their staleness accounting depends on the walk.
 
+#include <array>
 #include <functional>
 #include <optional>
 #include <string>
@@ -74,7 +87,10 @@ struct SupervisedMeasurement {
     HealthReport health;               ///< last attempt's health report
     SupervisedStatus status = SupervisedStatus::Failed;
     double heading_deg = 0.0;  ///< the heading to serve (per status)
-    int attempts = 0;          ///< measure() attempts consumed
+    /// Plans run for this outcome: full-plan attempts of a walk, or the
+    /// one degraded plan of a settled run (plus the walk it fell back
+    /// to, if any). A walk's own single-axis rung is not counted.
+    int attempts = 0;
     bool stale = false;        ///< heading is not from this measurement
     double staleness_s = 0.0;  ///< simulated time since the last good heading
     std::string diagnostics;   ///< human-readable failure trail
@@ -140,24 +156,41 @@ public:
     /// Accumulated simulated time since the last good heading [s].
     [[nodiscard]] double staleness_s() const noexcept { return staleness_s_; }
 
+    /// Settled runs a settled ladder serves before the next call
+    /// re-walks the full ladder from rung 0.
+    static constexpr int kReprobeEvery = 64;
+
+    /// The surviving axis while the ladder is settled on
+    /// DegradedSingleAxis; nullopt otherwise.
+    [[nodiscard]] std::optional<analog::Channel> settled_axis() const noexcept {
+        return settled_axis_;
+    }
+    /// Settled runs served since the last full walk.
+    [[nodiscard]] int settled_runs() const noexcept { return settled_runs_; }
+
     /// Everything the ladder carries between measure() calls (snapshot
     /// seam). Config and the compiled plans are rebuilt from the compass
     /// configuration, not serialized. A member restored mid-ladder —
-    /// e.g. holding a stale last-good heading — resumes at the same
-    /// rung, not from Healthy.
+    /// e.g. holding a stale last-good heading, or settled on one axis —
+    /// resumes at the same rung, not from Healthy.
     struct LadderState {
         std::optional<SupervisedMeasurement> last_good;
         double staleness_s = 0.0;
         compass::HeadingFilter::State filter;
+        std::optional<analog::Channel> settled_axis;
+        int settled_runs = 0;
     };
 
     [[nodiscard]] LadderState save_ladder_state() const {
-        return {last_good_, staleness_s_, monitor_.filter().save_state()};
+        return {last_good_, staleness_s_, monitor_.filter().save_state(),
+                settled_axis_, settled_runs_};
     }
     void load_ladder_state(const LadderState& s) {
         last_good_ = s.last_good;
         staleness_s_ = s.staleness_s;
         monitor_.filter().load_state(s.filter);
+        settled_axis_ = s.settled_axis;
+        settled_runs_ = s.settled_runs;
     }
 
 private:
@@ -168,6 +201,18 @@ private:
     [[nodiscard]] std::optional<double> reconstruct_heading(
         analog::Channel healthy, std::int64_t good_count) const;
 
+    /// One run of the degraded plan on a surviving axis.
+    struct SingleAxisRun {
+        compass::Measurement measurement;  ///< partial: one axis counted
+        HealthReport health;
+        bool aborted = false;
+        /// Unset when the run aborted, its health report implicates the
+        /// surviving axis, or reconstruction refused.
+        std::optional<double> heading_deg;
+    };
+    SingleAxisRun run_single_axis(compass::PlanExecutor& executor,
+                                  analog::Channel healthy);
+
     /// The ladder proper; `any_abort` reports whether any attempt threw.
     SupervisedMeasurement measure_impl(bool& any_abort);
 
@@ -176,8 +221,13 @@ private:
     HealthMonitor monitor_;
     compass::MeasurementPlan plan_;        ///< the compass's full plan
     compass::MeasurementPlan retry_plan_;  ///< ReExcite-prefixed rewrite
+    /// with_re_excite(truncate_to_axis(plan_, ch)), indexed by the
+    /// surviving channel.
+    std::array<compass::MeasurementPlan, 2> single_axis_plans_;
     std::optional<SupervisedMeasurement> last_good_;
     double staleness_s_ = 0.0;  ///< accumulated simulated time since last good
+    std::optional<analog::Channel> settled_axis_;  ///< sticky rung's axis
+    int settled_runs_ = 0;  ///< settled runs since the last full walk
     std::function<void(const SupervisedMeasurement&)> postmortem_hook_;
     PostmortemTrigger postmortem_trigger_;
 };

@@ -40,7 +40,9 @@ struct CompassService::PendingQuery {
 };
 
 CompassService::CompassService(const ServiceConfig& config)
-    : config_(config), fleet_(config.members, config.compass, pool_) {
+    : config_(config),
+      fleet_(config.members, config.compass, pool_),
+      settled_runs_(static_cast<std::size_t>(config.members)) {
     if (config.members < 1) {
         throw std::invalid_argument("CompassService: members must be >= 1");
     }
@@ -53,6 +55,7 @@ CompassService::CompassService(const ServiceConfig& config)
         supervisors_.push_back(std::make_unique<fault::MeasurementSupervisor>(
             fleet_.at(i), config.supervisor));
     }
+    for (std::atomic<int>& runs : settled_runs_) runs.store(-1, std::memory_order_relaxed);
 
     telemetry::MetricsRegistry& reg = fleet_.metrics();
     latency_hist_ = &reg.histogram(
@@ -77,6 +80,19 @@ CompassService::CompassService(const ServiceConfig& config)
         out << "service_replies_error " << s.replies_error << '\n';
         out << "service_protocol_errors " << s.protocol_errors << '\n';
         out << "service_disconnects " << s.disconnects << '\n';
+        // Read from the published copies: the supervisors themselves
+        // belong to the batch loop.
+        std::ostringstream members;
+        int settled = 0;
+        for (std::size_t m = 0; m < settled_runs_.size(); ++m) {
+            const int runs = settled_runs_[m].load(std::memory_order_relaxed);
+            if (runs < 0) continue;
+            ++settled;
+            members << "service_settled_member " << m << " rung="
+                    << fault::to_string(fault::SupervisedStatus::DegradedSingleAxis)
+                    << " runs_since_probe=" << runs << '\n';
+        }
+        out << "service_settled_members " << settled << '\n' << members.str();
         return out.str();
     });
 }
@@ -230,35 +246,44 @@ ServiceStats CompassService::stats() const {
     return s;
 }
 
+void CompassService::publish_rung(int member) {
+    const fault::MeasurementSupervisor& sup =
+        *supervisors_[static_cast<std::size_t>(member)];
+    settled_runs_[static_cast<std::size_t>(member)].store(
+        sup.settled_axis() ? sup.settled_runs() : -1, std::memory_order_relaxed);
+}
+
 HeadingReply CompassService::resolve_member(int member,
-                                            const compass::FleetResult& result) {
+                                            const compass::FleetResult* result) {
     HeadingReply r;
     r.member = static_cast<std::uint32_t>(member);
     fault::MeasurementSupervisor& sup =
         *supervisors_[static_cast<std::size_t>(member)];
 
-    if (result.ok) {
+    if (result != nullptr && result->ok) {
         const fault::HealthReport health =
-            sup.monitor().check(fleet_.at(member), result.measurement);
+            sup.monitor().check(fleet_.at(member), result->measurement);
         if (health.ok) {
             r.status = ReplyStatus::Ok;
             r.attempts = 1;
-            r.heading_deg = result.measurement.heading_deg;
-            r.count_x = result.measurement.count_x;
-            r.count_y = result.measurement.count_y;
+            r.heading_deg = result->measurement.heading_deg;
+            r.count_x = result->measurement.count_x;
+            r.count_y = result->measurement.count_y;
             return r;
         }
         r.detail = "batch health: " + health.summary() + "; ";
-    } else {
-        r.detail = "batch error: " + result.error + "; ";
+    } else if (result != nullptr) {
+        r.detail = "batch error: " + result->error + "; ";
     }
 
-    // The member tripped the HealthMonitor (or threw) in the batch:
-    // walk its degradation ladder and serve the outcome *marked*
-    // instead of erroring — the ROADMAP's graceful-degradation story.
+    // The member tripped the HealthMonitor (or threw) in the batch, or
+    // its rung has settled and it skipped the sweep: serve it through
+    // its degradation ladder, *marked* instead of erroring — the
+    // ROADMAP's graceful-degradation story. A swept member's reply
+    // counts the sweep's attempt too.
     try {
         const fault::SupervisedMeasurement sm = sup.measure();
-        r.attempts = static_cast<std::uint32_t>(sm.attempts) + 1;
+        r.attempts = static_cast<std::uint32_t>(sm.attempts + (result != nullptr ? 1 : 0));
         r.heading_deg = sm.heading_deg;
         r.count_x = sm.measurement.count_x;
         r.count_y = sm.measurement.count_y;
@@ -284,6 +309,7 @@ HeadingReply CompassService::resolve_member(int member,
         r.status = ReplyStatus::Error;
         r.detail += std::string("ladder threw: ") + e.what();
     }
+    publish_rung(member);
     return r;
 }
 
@@ -303,28 +329,35 @@ void CompassService::batch_loop() {
         batches_.fetch_add(1, std::memory_order_relaxed);
         batch_size_hist_->observe(static_cast<double>(batch.size()));
 
-        // The batch's distinct members, in first-query order: each is
-        // measured once and its outcome shared by every query it serves.
-        std::unordered_map<int, HeadingReply> outcome;
-        std::vector<int> members;
-        for (const PendingQuery& q : batch) {
-            if (outcome.emplace(q.member, HeadingReply{}).second) {
-                members.push_back(q.member);
-            }
-        }
-
-        // One sweep over just those members serves every coalesced
+        // One sweep over just the batch's members serves every coalesced
         // query: the lane engine measures them as SoA groups over the
-        // pool, and members nobody asked about are not touched.
-        // fleet_mutex_ keeps the /snapshot provider out until the sweep
-        // (and any ladder re-measurement) settles.
+        // pool, and members nobody asked about are not touched. A member
+        // whose ladder has settled skips the sweep — its batch
+        // measurement would only trip the HealthMonitor again — and is
+        // served by its supervisor alone. fleet_mutex_ keeps the
+        // /snapshot provider out until the sweep and the ladders finish.
+        std::unordered_map<int, HeadingReply> outcome;
         {
             const std::lock_guard<std::mutex> fleet_lock(fleet_mutex_);
+            // The batch's distinct members, in first-query order: each
+            // is measured once and its outcome shared by every query it
+            // serves.
+            std::vector<int> swept;
+            std::vector<int> settled;
+            for (const PendingQuery& q : batch) {
+                if (outcome.emplace(q.member, HeadingReply{}).second) {
+                    const fault::MeasurementSupervisor& sup =
+                        *supervisors_[static_cast<std::size_t>(q.member)];
+                    (sup.settled_axis() ? settled : swept).push_back(q.member);
+                }
+            }
             const std::vector<compass::FleetResult> results =
-                fleet_.measure_members(members, config_.batch_threads);
-            for (std::size_t k = 0; k < members.size(); ++k) {
-                HeadingReply& r = outcome[members[k]];
-                r = resolve_member(members[k], results[k]);
+                fleet_.measure_members(swept, config_.batch_threads);
+            for (std::size_t k = 0; k < swept.size() + settled.size(); ++k) {
+                const bool was_swept = k < swept.size();
+                const int member = was_swept ? swept[k] : settled[k - swept.size()];
+                HeadingReply& r = outcome[member];
+                r = resolve_member(member, was_swept ? &results[k] : nullptr);
                 switch (r.status) {
                     case ReplyStatus::Ok:
                         replies_ok_.fetch_add(1, std::memory_order_relaxed);

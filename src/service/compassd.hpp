@@ -40,7 +40,14 @@
 /// degradation ladder, and the ladder's outcome is served *marked* —
 /// ReplyStatus::Degraded (single-axis reconstruction) or Stale (held
 /// last-good) — rather than erroring. Only an exhausted ladder answers
-/// Error.
+/// Error. Once a member's ladder has settled on DegradedSingleAxis
+/// (supervisor.hpp), the batch loop leaves it out of the sweep and
+/// serves it from its supervisor alone: one degraded plan per batch,
+/// reply attempts = 1, and a full-ladder re-probe every
+/// kReprobeEvery settled runs. /healthz reports
+/// `service_settled_members <n>` and, per settled member,
+/// `service_settled_member <m> rung=DegradedSingleAxis
+/// runs_since_probe=<k>`.
 ///
 /// Telemetry is live while serving: start() can also bind the PR 8
 /// introspection endpoint (HTTP /metrics, /trace, /healthz, /snapshot)
@@ -166,14 +173,22 @@ private:
 
     void batch_loop();
     /// Resolves one member's batch slot into the reply fields every
-    /// query assigned to that member shares this batch.
+    /// query assigned to that member shares this batch. `result` is the
+    /// member's sweep result, or nullptr for a settled member that
+    /// skipped the sweep.
     [[nodiscard]] HeadingReply resolve_member(
-        int member, const compass::FleetResult& result);
+        int member, const compass::FleetResult* result);
+    /// Copies member's sticky-rung state into settled_runs_.
+    void publish_rung(int member);
 
     ServiceConfig config_;
     util::TaskPool pool_;  ///< owns the io/batch workers and fleet batches
     compass::CompassFleet fleet_;
     std::vector<std::unique_ptr<fault::MeasurementSupervisor>> supervisors_;
+    /// Per member: settled runs since its last full-ladder probe, or -1
+    /// when its rung is not settled. Written by the batch loop, read by
+    /// /healthz without fleet_mutex_.
+    std::vector<std::atomic<int>> settled_runs_;
 
     /// Serializes member mutation: the batch loop holds this across a
     /// fleet sweep + ladder resolution, and the introspection thread's

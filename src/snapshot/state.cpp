@@ -812,6 +812,11 @@ std::vector<std::uint8_t> snapshot_supervisor(
     w.put_f64(ladder.filter.x);
     w.put_f64(ladder.filter.y);
     w.put_bool(ladder.filter.primed);
+    w.put_bool(ladder.settled_axis.has_value());
+    if (ladder.settled_axis.has_value()) {
+        w.put_u32(static_cast<std::uint32_t>(*ladder.settled_axis));
+    }
+    w.put_i64(ladder.settled_runs);
     w.end_section();
     return w.finish();
 }
@@ -841,6 +846,19 @@ void restore_supervisor(std::span<const std::uint8_t> bytes,
     ladder.filter.x = r.get_f64();
     ladder.filter.y = r.get_f64();
     ladder.filter.primed = r.get_bool();
+    if (r.get_bool()) {
+        const std::uint32_t axis = r.get_u32();
+        if (axis > static_cast<std::uint32_t>(analog::Channel::Y)) {
+            throw SnapshotError("snapshot settled axis out of range");
+        }
+        ladder.settled_axis = static_cast<analog::Channel>(axis);
+    }
+    const std::int64_t settled_runs = r.get_i64();
+    if (settled_runs < 0 ||
+        settled_runs > fault::MeasurementSupervisor::kReprobeEvery) {
+        throw SnapshotError("snapshot settled-run count out of range");
+    }
+    ladder.settled_runs = static_cast<int>(settled_runs);
     r.leave_section();
     supervisor.load_ladder_state(ladder);
 }

@@ -127,7 +127,8 @@ void restore_member(std::span<const std::uint8_t> bytes,
                     const RestoreTargets& targets = {});
 
 /// The supervisor's degradation-ladder state (last-good measurement
-/// with its full health report, staleness clock, heading-filter track).
+/// with its full health report, staleness clock, heading-filter track,
+/// settled axis and settled-run count of the sticky rung).
 [[nodiscard]] std::vector<std::uint8_t> snapshot_supervisor(
     const fault::MeasurementSupervisor& supervisor);
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/compass.hpp"
 #include "core/compass_fleet.hpp"
@@ -17,6 +20,7 @@
 #include "fault/supervisor.hpp"
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
+#include "telemetry/trace.hpp"
 #include "util/angle.hpp"
 
 namespace fxg {
@@ -589,6 +593,144 @@ TEST(Supervisor, CounterTrapBecomesMeasurementAborted) {
     EXPECT_EQ(result.status, fault::SupervisedStatus::Failed);
     EXPECT_TRUE(result.health.has(FaultCode::MeasurementAborted))
         << result.diagnostics;
+}
+
+// --- Sticky DegradedSingleAxis rung ----------------------------------
+
+constexpr int kReprobeEvery = fault::MeasurementSupervisor::kReprobeEvery;
+
+// A supervisor whose ladder has just settled on the X axis: one healthy
+// anchor at 200 deg, then a dead Y detector walks the ladder down to
+// DegradedSingleAxis. Every plan the supervisor runs opens one
+// "measure" span on `session`.
+struct SettledRig {
+    compass::Compass compass{lite_config()};
+    telemetry::TraceSession session;
+    fault::FaultInjector injector;
+    fault::SupervisorConfig config;
+    std::unique_ptr<fault::MeasurementSupervisor> supervisor;
+
+    SettledRig() {
+        compass.set_environment(site(), 200.0);
+        compass.set_telemetry(&session);
+        config.health = site_monitor();
+        supervisor = std::make_unique<fault::MeasurementSupervisor>(compass, config);
+        EXPECT_EQ(supervisor->measure().status, fault::SupervisedStatus::Ok);
+        injector.add({.fault = FaultClass::DetectorStuckLow, .channel = analog::Channel::Y});
+        injector.arm(compass);
+        EXPECT_EQ(supervisor->measure().status, fault::SupervisedStatus::DegradedSingleAxis);
+        EXPECT_EQ(supervisor->settled_axis(), analog::Channel::X);
+    }
+
+    struct Call {
+        fault::SupervisedMeasurement result;
+        int plans = 0;       ///< "measure" spans opened by the call
+        int re_excites = 0;  ///< supervisor.re_excite events
+    };
+    Call measure() {
+        session.clear();
+        Call call{supervisor->measure()};
+        for (const telemetry::SpanRecord& s : session.spans()) {
+            if (std::string(s.name) == "measure") ++call.plans;
+        }
+        for (const telemetry::EventRecord& e : session.events()) {
+            if (std::string(e.name) == "supervisor.re_excite") ++call.re_excites;
+        }
+        return call;
+    }
+};
+
+TEST(Supervisor, SettledRungRunsOnePlanPerCall) {
+    SettledRig rig;
+    for (int i = 1; i <= kReprobeEvery; ++i) {
+        SCOPED_TRACE(i);
+        const SettledRig::Call call = rig.measure();
+        EXPECT_EQ(call.result.status, fault::SupervisedStatus::DegradedSingleAxis);
+        EXPECT_FALSE(call.result.stale);
+        EXPECT_EQ(call.result.attempts, 1);
+        EXPECT_EQ(call.plans, 1);
+        EXPECT_EQ(call.re_excites, 0);
+        EXPECT_LT(util::angular_abs_diff_deg(call.result.heading_deg, 200.0), 5.0);
+        EXPECT_EQ(rig.supervisor->settled_runs(), i);
+    }
+}
+
+TEST(Supervisor, SettledRungRewalksTheFullLadderOnSchedule) {
+    SettledRig rig;
+    for (int i = 0; i < kReprobeEvery; ++i) ASSERT_EQ(rig.measure().plans, 1) << i;
+
+    const SettledRig::Call probe = rig.measure();
+    const int retries = rig.config.max_retries;
+    EXPECT_EQ(probe.result.status, fault::SupervisedStatus::DegradedSingleAxis);
+    EXPECT_EQ(probe.result.attempts, 1 + retries);
+    EXPECT_EQ(probe.re_excites, retries);
+    EXPECT_EQ(probe.plans, 1 + retries + 1);  // full attempts + single-axis rung
+    EXPECT_EQ(rig.supervisor->settled_runs(), 0);
+    EXPECT_EQ(rig.supervisor->settled_axis(), analog::Channel::X);
+    EXPECT_EQ(rig.measure().plans, 1);  // settled again
+}
+
+TEST(Supervisor, SettledRungReturnsToOkWithinOneReprobeOfDisarm) {
+    SettledRig rig;
+    rig.injector.disarm();
+    int calls = 1;
+    for (; calls <= kReprobeEvery + 1; ++calls) {
+        const fault::SupervisedMeasurement result = rig.measure().result;
+        if (result.status == fault::SupervisedStatus::Ok) break;
+        EXPECT_EQ(result.status, fault::SupervisedStatus::DegradedSingleAxis) << calls;
+    }
+    EXPECT_EQ(calls, kReprobeEvery + 1);
+    EXPECT_FALSE(rig.supervisor->settled_axis().has_value());
+}
+
+TEST(Supervisor, SettledRunAbortFallsThroughToTheFullLadder) {
+    SettledRig rig;
+    // The surviving X count now traps: the settled run aborts, and so
+    // does every attempt of the walk it falls back to.
+    rig.compass.counter().set_hardware({.width_bits = 8, .trap_on_overflow = true});
+    const SettledRig::Call call = rig.measure();
+    const int retries = rig.config.max_retries;
+    EXPECT_EQ(call.result.status, fault::SupervisedStatus::HoldLastGood);
+    EXPECT_EQ(call.result.attempts, 1 + 1 + retries);
+    EXPECT_EQ(call.plans, 1 + 1 + retries);
+    EXPECT_EQ(call.re_excites, retries);
+    EXPECT_TRUE(call.result.health.has(FaultCode::MeasurementAborted));
+    EXPECT_FALSE(rig.supervisor->settled_axis().has_value());
+}
+
+TEST(Supervisor, SettledRunImplicatingTheSurvivingAxisFallsThrough) {
+    SettledRig rig;
+    // Light EMI on the surviving X detector: a few flips barely move
+    // the count, so the heading could still be reconstructed, but the
+    // edge rate gives X away. The settled run's own health report
+    // implicates X, and the walk it falls back to finds both axes bad,
+    // so it holds the last good heading.
+    rig.injector.disarm();
+    rig.injector.add(
+        {.fault = FaultClass::NoiseBurst, .channel = analog::Channel::X, .magnitude = 0.01});
+    rig.injector.arm(rig.compass);
+    const SettledRig::Call call = rig.measure();
+    const int retries = rig.config.max_retries;
+    EXPECT_EQ(call.result.status, fault::SupervisedStatus::HoldLastGood)
+        << call.result.diagnostics;
+    EXPECT_NE(call.result.diagnostics.find("settled run: "), std::string::npos);
+    EXPECT_EQ(call.result.attempts, 1 + 1 + retries);
+    EXPECT_EQ(call.plans, 1 + 1 + retries);
+    EXPECT_EQ(call.re_excites, retries);
+    EXPECT_FALSE(rig.supervisor->settled_axis().has_value());
+}
+
+TEST(Supervisor, PostmortemHookFiresOnSettledDegradedOutcomes) {
+    SettledRig rig;
+    std::vector<fault::SupervisedMeasurement> fired;
+    rig.supervisor->set_postmortem_hook(
+        [&fired](const fault::SupervisedMeasurement& sm) { fired.push_back(sm); });
+    for (int i = 0; i < 3; ++i) static_cast<void>(rig.measure());
+    ASSERT_EQ(fired.size(), 3u);
+    for (const fault::SupervisedMeasurement& sm : fired) {
+        EXPECT_EQ(sm.status, fault::SupervisedStatus::DegradedSingleAxis);
+        EXPECT_EQ(sm.attempts, 1);
+    }
 }
 
 // --- Fleet partial-failure isolation ---------------------------------

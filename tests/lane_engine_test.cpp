@@ -513,6 +513,44 @@ TEST(CompassFleet, MemberSubsetMatchesPerMemberBitForBit) {
     }
     EXPECT_EQ(health_counter(lane_fleet, "members_measured"), ids.size());
     EXPECT_EQ(health_counter(lane_fleet, "batches_total"), 1u);
+
+    // Short lists spread over the workers in whole SIMD stripes (n = 5
+    // leaves a partial stripe) and still match PerMember bit for bit.
+    for (const auto& [n, threads] : {std::pair{8, 2}, std::pair{5, 2}}) {
+        SCOPED_TRACE(testing::Message() << n << " members on " << threads << " threads");
+        ASSERT_LT(compass::CompassFleet::lane_group_size(n, threads), n);
+        const std::vector<int> few(ids.begin(), ids.begin() + n);
+        compass::CompassFleet spread(kFleet, lite_config());
+        compass::CompassFleet reference(kFleet, lite_config());
+        reference.set_execution(compass::FleetExecution::PerMember);
+        spread.set_environments(site(), headings);
+        reference.set_environments(site(), headings);
+        const auto x = spread.measure_members(few, threads);
+        const auto y = reference.measure_members(few, threads);
+        for (std::size_t k = 0; k < few.size(); ++k) {
+            SCOPED_TRACE(testing::Message() << "slot " << k << " member " << few[k]);
+            ASSERT_TRUE(x[k].ok) << x[k].error;
+            ASSERT_TRUE(y[k].ok) << y[k].error;
+            expect_bit_identical(x[k].measurement, y[k].measurement);
+            expect_same_pipeline_state(spread.at(few[k]), reference.at(few[k]));
+        }
+    }
+}
+
+TEST(CompassFleet, LaneGroupsSpreadShortListsInWholeStripes) {
+    using compass::CompassFleet;
+    constexpr int kStripe = util::simd::kLanes;
+    const auto whole_stripes = [](int members) {
+        return (members + kStripe - 1) / kStripe * kStripe;
+    };
+    EXPECT_EQ(CompassFleet::lane_group_size(8, 2), whole_stripes(4));
+    EXPECT_EQ(CompassFleet::lane_group_size(5, 2), whole_stripes(3));
+    EXPECT_EQ(CompassFleet::lane_group_size(7, 4), whole_stripes(2));
+    // One worker, one member or a long list: one group, or full groups.
+    EXPECT_EQ(CompassFleet::lane_group_size(8, 1), whole_stripes(8));
+    EXPECT_EQ(CompassFleet::lane_group_size(1, 4), kStripe);
+    EXPECT_EQ(CompassFleet::lane_group_size(40, 1), CompassFleet::kLaneGroupSize);
+    EXPECT_EQ(CompassFleet::lane_group_size(1024, 4), CompassFleet::kLaneGroupSize);
 }
 
 TEST(CompassFleet, MemberSubsetLeavesUnlistedMembersUntouched) {

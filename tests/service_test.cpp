@@ -14,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,13 +366,86 @@ TEST(ServiceTest, FaultTrippedMemberServesDegradedNotError) {
         const HeadingReply reply = client.query(id);
         EXPECT_EQ(reply.status, ReplyStatus::Degraded)
             << "query " << id << ": " << reply.detail;
-        EXPECT_GT(reply.attempts, 1u);
+        // The first degraded query walks the ladder after its sweep; the
+        // rung then settles and later queries run one degraded plan.
+        if (id == 2) {
+            EXPECT_GT(reply.attempts, 1u);
+        } else {
+            EXPECT_EQ(reply.attempts, 1u);
+        }
         EXPECT_NE(reply.detail.find("ladder"), std::string::npos);
     }
     EXPECT_GE(daemon.stats().replies_degraded, 3u);
     EXPECT_GE(daemon.metrics().counter("fxg_service_degraded_total").value(),
               3u);
 
+    injector.disarm();
+    daemon.stop();
+}
+
+// A member whose ladder has settled on DegradedSingleAxis skips the
+// batch sweep: each of its later queries runs exactly one degraded plan,
+// and the fleet's members_measured stops counting it.
+TEST(ServiceTest, SettledMemberIsServedFromItsRungWithoutTheSweep) {
+    constexpr int kMembers = 8;
+    constexpr int kFaultedQueries = 40;
+    service::CompassService daemon(small_service(kMembers));
+    for (int i = 0; i < kMembers; ++i) {
+        daemon.fleet().set_environment(i, site(), 30.0 + 45.0 * i);
+    }
+    daemon.start();  // warmup anchors every ladder
+
+    fault::FaultInjector injector;
+    fault::FaultSpec spec;
+    spec.fault = fault::FaultClass::DetectorStuckLow;
+    spec.channel = analog::Channel::X;
+    injector.add(spec);
+    injector.arm(daemon.fleet().at(0));
+
+    // The rest of the first /healthz line that starts with `key`.
+    const auto health_value = [&daemon](const std::string& key) {
+        std::istringstream text(daemon.fleet().health_text());
+        for (std::string line; std::getline(text, line);) {
+            if (line.rfind(key + " ", 0) == 0) return line.substr(key.size() + 1);
+        }
+        ADD_FAILURE() << "no /healthz line " << key;
+        return std::string();
+    };
+    const auto members_measured = [&] {
+        return std::stoull(health_value("members_measured"));
+    };
+
+    // Serial queries, one per batch; round-robin puts every eighth on
+    // member 0.
+    service::QueryClient client(daemon.port());
+    std::uint64_t id = 0;
+    for (int round = 0; round < kFaultedQueries; ++round) {
+        for (int m = 0; m < kMembers; ++m) {
+            SCOPED_TRACE(testing::Message() << "round " << round << " member " << m);
+            const std::uint64_t before = members_measured();
+            const HeadingReply reply = client.query(++id);
+            const std::uint64_t swept = members_measured() - before;
+            ASSERT_EQ(reply.member, static_cast<std::uint32_t>(m));
+            if (m != 0) {
+                EXPECT_EQ(reply.status, ReplyStatus::Ok);
+                EXPECT_EQ(swept, 1u);
+                continue;
+            }
+            EXPECT_EQ(reply.status, ReplyStatus::Degraded) << reply.detail;
+            if (round == 0) {  // swept, tripped, walked the ladder, settled
+                EXPECT_EQ(swept, 1u);
+                EXPECT_GT(reply.attempts, 1u);
+            } else {
+                EXPECT_EQ(swept, 0u);
+                EXPECT_EQ(reply.attempts, 1u);
+            }
+        }
+    }
+
+    EXPECT_EQ(health_value("service_settled_members"), "1");
+    EXPECT_EQ(health_value("service_settled_member"),
+              "0 rung=DegradedSingleAxis runs_since_probe=" +
+                  std::to_string(kFaultedQueries - 1));
     injector.disarm();
     daemon.stop();
 }

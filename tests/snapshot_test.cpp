@@ -645,6 +645,80 @@ TEST(SupervisorSnapshot, MidLadderRestoreResumesAtTheSameRung) {
     EXPECT_EQ(next2.stale, next1.stale);
 }
 
+TEST(SupervisorSnapshot, MidSettleRestoreMatchesAcrossTheReprobe) {
+    constexpr int kReprobeEvery = fault::MeasurementSupervisor::kReprobeEvery;
+    constexpr int kSettledBefore = 5;  // settled runs served before the snapshot
+    const compass::CompassConfig cfg = small_config();
+    fault::FaultSpec stuck;
+    stuck.fault = fault::FaultClass::DetectorStuckLow;
+    stuck.channel = analog::Channel::X;
+    stuck.persistence = fault::Persistence::Permanent;
+
+    // Settle supervisor 1 on the Y axis and serve a few settled runs.
+    compass::Compass compass1(cfg);
+    compass1.set_environment(kField, 30.0);
+    fault::MeasurementSupervisor sup1(compass1);
+    ASSERT_EQ(sup1.measure().status, fault::SupervisedStatus::Ok);
+    fault::FaultInjector injector1;
+    injector1.add(stuck);
+    injector1.arm(compass1);
+    for (int i = 0; i <= kSettledBefore; ++i) {
+        ASSERT_EQ(sup1.measure().status, fault::SupervisedStatus::DegradedSingleAxis);
+    }
+    ASSERT_EQ(sup1.settled_axis(), analog::Channel::Y);
+    ASSERT_EQ(sup1.settled_runs(), kSettledBefore);
+
+    snapshot::SaveOptions opts;
+    opts.injector = &injector1;
+    const std::vector<std::uint8_t> pipeline = snapshot::snapshot_compass(compass1, opts);
+    const std::vector<std::uint8_t> ladder = snapshot::snapshot_supervisor(sup1);
+
+    compass::Compass compass2(cfg);
+    fault::FaultInjector injector2;
+    injector2.add(stuck);
+    injector2.arm(compass2);
+    snapshot::RestoreTargets targets;
+    targets.injector = &injector2;
+    snapshot::restore_compass(pipeline, compass2, targets);
+    fault::MeasurementSupervisor sup2(compass2);
+    snapshot::restore_supervisor(ladder, sup2);
+    EXPECT_EQ(sup2.settled_axis(), sup1.settled_axis());
+    EXPECT_EQ(sup2.settled_runs(), sup1.settled_runs());
+
+    // The restored pair continues bit for bit, through the full-ladder
+    // re-probe that falls inside these calls.
+    int reprobes = 0;
+    for (int i = 0; i <= kReprobeEvery; ++i) {
+        SCOPED_TRACE(i);
+        const fault::SupervisedMeasurement a = sup1.measure();
+        const fault::SupervisedMeasurement b = sup2.measure();
+        EXPECT_EQ(b.status, a.status);
+        EXPECT_EQ(b.heading_deg, a.heading_deg);
+        EXPECT_EQ(b.staleness_s, a.staleness_s);
+        EXPECT_EQ(b.attempts, a.attempts);
+        EXPECT_EQ(b.stale, a.stale);
+        expect_equal_measurements(b.measurement, a.measurement);
+        if (a.attempts > 1) ++reprobes;
+    }
+    EXPECT_EQ(reprobes, 1);
+    EXPECT_EQ(sup2.settled_runs(), sup1.settled_runs());
+}
+
+TEST(SupervisorSnapshot, SettledRunCountOutOfRangeIsRejected) {
+    compass::Compass compass(small_config());
+    fault::MeasurementSupervisor source(compass);
+    fault::MeasurementSupervisor::LadderState bad = source.save_ladder_state();
+    bad.settled_axis = analog::Channel::X;
+    bad.settled_runs = fault::MeasurementSupervisor::kReprobeEvery + 1;
+    source.load_ladder_state(bad);
+    const std::vector<std::uint8_t> bytes = snapshot::snapshot_supervisor(source);
+
+    fault::MeasurementSupervisor target(compass);
+    EXPECT_THROW(snapshot::restore_supervisor(bytes, target), snapshot::SnapshotError);
+    EXPECT_FALSE(target.settled_axis().has_value());
+    EXPECT_EQ(target.settled_runs(), 0);
+}
+
 // ---------------------------------------------------------------- metrics
 
 TEST(MetricsSnapshot, RoundTripRestoresEveryInstrument) {
