@@ -9,7 +9,8 @@
 ///   higher-is-better  names containing per_s / speedup / throughput,
 ///                     or with unit "1/s" or "x";
 ///   lower-is-better   names containing latency / seconds / _ms /
-///                     overhead, or with unit "s" / "ms";
+///                     overhead, or with unit "s" / "ms" / "s/s" (a
+///                     ratio of two timings taken in the same run);
 ///   informational     everything else — printed, never gated (counts,
 ///                     raw physics gauges, provenance stamps).
 ///
@@ -46,7 +47,7 @@ Direction classify(const fxg::telemetry::BenchRecord& r) {
     }
     if (contains(r.name, "latency") || contains(r.name, "seconds") ||
         contains(r.name, "_ms") || contains(r.name, "overhead") ||
-        r.unit == "s" || r.unit == "ms") {
+        r.unit == "s" || r.unit == "ms" || r.unit == "s/s") {
         return Direction::LowerBetter;
     }
     return Direction::Informational;

@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -251,6 +253,43 @@ void write_perf_json(bool large) {
     if (engine_ms[1] > 0.0) {
         registry.gauge("fxg_engine_speedup_block_over_scalar", "x")
             .set(engine_ms[0] / engine_ms[1]);
+    }
+
+    // One member through the lane path — a one-lane group, so the
+    // kernel's time form — against Compass::measure on the block
+    // engine. The two are alternated within one loop, so the ratio
+    // compares timings taken under the same host conditions.
+    {
+        compass::Compass lane;
+        compass::Compass block;
+        lane.set_environment(field, 123.0);
+        block.set_environment(field, 123.0);
+        compass::Compass* const lanes[1] = {&lane};
+        compass::LaneOutcome slot[1];
+        std::vector<double> lane_s;
+        std::vector<double> block_s;
+        for (int i = 0; i <= kReps; ++i) {
+            const auto t0 = telemetry::Clock::now();
+            compass::PlanExecutor::run_lanes(lane.plan(), lanes, slot);
+            const auto t1 = telemetry::Clock::now();
+            static_cast<void>(block.measure());
+            const auto t2 = telemetry::Clock::now();
+            if (i == 0) continue;  // warm-up
+            lane_s.push_back(std::chrono::duration<double>(t1 - t0).count());
+            block_s.push_back(std::chrono::duration<double>(t2 - t1).count());
+        }
+        const auto median = [](std::vector<double>& v) {
+            std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+            return v[v.size() / 2];
+        };
+        const double lane_med = median(lane_s);
+        const double block_med = median(block_s);
+        registry.gauge("fxg_lane_n1_measure_seconds", "s").set(lane_med);
+        registry.gauge("fxg_lane_n1_over_block", "s/s")
+            .set(block_med > 0.0 ? lane_med / block_med : 0.0);
+        std::printf("one member [%s]: lane %.3f ms, block %.3f ms (%.2f of block)\n",
+                    sim::LaneEngine::backend_name(), 1e3 * lane_med, 1e3 * block_med,
+                    block_med > 0.0 ? lane_med / block_med : 0.0);
     }
 
     // Fleet throughput at full hardware concurrency, at both ends of the

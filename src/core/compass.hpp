@@ -79,9 +79,8 @@ struct CompassConfig {
 ///   gain(T) = c0 + c1 (T - Tref) + c2 (T - Tref)^2 + ...
 /// restores the ratio the arctan needs. An empty coefficient list means
 /// disabled — the count path is then bit-identical to the
-/// pre-temperature calibration. Like the field source itself this is
-/// configuration, not evolving state: it is not serialized in
-/// snapshots and must be reinstalled on a restored compass.
+/// pre-temperature calibration. Snapshots carry it with the rest of
+/// the count calibration.
 struct TempCompensation {
     double t_ref_c = 25.0;
     std::vector<double> coeff;  ///< gain polynomial in (T - Tref); empty = off

@@ -340,14 +340,10 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     }
     for (int i = 0; i < n; ++i) outcomes[static_cast<std::size_t>(i)] = LaneOutcome{};
 
-    // Batch eligibility: every lane's front end must fit a SIMD lane,
-    // and ReExcite (a whole-pipeline power cycle) only exists on the
-    // per-member path. Ineligible batches run member by member with the
-    // identical outcome contract.
+    // Batch eligibility: every lane's front end must fit a SIMD lane.
+    // Ineligible batches run member by member with the identical
+    // outcome contract.
     bool batchable = true;
-    for (const PlanStage& s : plan.stages) {
-        if (s.kind == StageKind::ReExcite) batchable = false;
-    }
     for (int i = 0; batchable && i < n; ++i) {
         if (!sim::LaneEngine::eligible(lanes[i]->front_end_)) batchable = false;
     }
@@ -424,7 +420,13 @@ void PlanExecutor::run_lanes(const MeasurementPlan& plan,
     for (const PlanStage& stage : plan.stages) {
         switch (stage.kind) {
             case StageKind::ReExcite:
-                break;  // filtered by the batchable check above
+                // Power-cycle each lane's front end and counter, as
+                // PlanRun::step does, after the window reset and range
+                // check above.
+                for (int i = 0; i < n; ++i) {
+                    if (active[static_cast<std::size_t>(i)]) lanes[i]->re_excite();
+                }
+                break;
             case StageKind::PowerUp:
                 for (int i = 0; i < n; ++i) {
                     if (!active[static_cast<std::size_t>(i)]) continue;

@@ -160,11 +160,14 @@ public:
     /// to PlanExecutor(*lanes[i]).run(plan) member by member; traced
     /// lanes still emit their own MeasurementSample on their own sink.
     ///
-    /// Total: lanes whose configuration the lane engine cannot take
-    /// (LaneEngine::eligible) — or any plan containing ReExcite — fall
-    /// back to the per-member path, with exceptions captured into the
-    /// lane's LaneOutcome either way. `lanes` must be distinct,
-    /// non-null, and outcomes.size() >= lanes.size().
+    /// A ReExcite stage power-cycles every lane (Compass::re_excite)
+    /// at that point of the stage list, as run() does.
+    ///
+    /// Total: batches with a lane whose configuration the lane engine
+    /// cannot take (LaneEngine::eligible) fall back to the per-member
+    /// path, with exceptions captured into the lane's LaneOutcome either
+    /// way. `lanes` must be distinct, non-null, and outcomes.size() >=
+    /// lanes.size().
     static void run_lanes(const MeasurementPlan& plan,
                           std::span<Compass* const> lanes,
                           std::span<LaneOutcome> outcomes);

@@ -112,16 +112,23 @@ SupervisedMeasurement MeasurementSupervisor::measure() {
 }
 
 MeasurementSupervisor::SingleAxisRun MeasurementSupervisor::run_single_axis(
-    compass::PlanExecutor& executor, analog::Channel healthy) {
+    analog::Channel healthy) {
     SingleAxisRun run;
-    try {
-        run.measurement = executor.run(single_axis_plans_[static_cast<std::size_t>(healthy)]);
-    } catch (const std::exception& e) {
+    // A batch of one through the lane engine (its single-member time
+    // form when the front end is lane-eligible): the same bits as
+    // PlanExecutor::run, with a trap reported in the outcome slot.
+    compass::Compass* const lanes[1] = {&compass_};
+    compass::LaneOutcome slot[1];
+    compass::PlanExecutor::run_lanes(
+        single_axis_plans_[static_cast<std::size_t>(healthy)], lanes, slot);
+    if (slot[0].aborted) {
         run.aborted = true;
         run.health.ok = false;
-        run.health.findings.push_back({FaultCode::MeasurementAborted, healthy, true, e.what()});
+        run.health.findings.push_back(
+            {FaultCode::MeasurementAborted, healthy, true, slot[0].error});
         return run;
     }
+    run.measurement = slot[0].measurement;
     // The run ages the last-good anchor like any attempt that is not a
     // good measurement.
     staleness_s_ += run.measurement.duration_s;
@@ -159,7 +166,7 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     // the re-probe is due or the run fails.
     if (settled_axis_ && settled_runs_ < kReprobeEvery) {
         ++out.attempts;
-        SingleAxisRun run = run_single_axis(executor, *settled_axis_);
+        SingleAxisRun run = run_single_axis(*settled_axis_);
         if (run.aborted) any_abort = true;
         out.measurement = run.measurement;
         out.health = std::move(run.health);
@@ -235,7 +242,7 @@ SupervisedMeasurement MeasurementSupervisor::measure_impl(bool& any_abort) {
     if (last_good_ && bad_x != bad_y) {
         const analog::Channel healthy =
             bad_x ? analog::Channel::Y : analog::Channel::X;
-        const SingleAxisRun run = run_single_axis(executor, healthy);
+        const SingleAxisRun run = run_single_axis(healthy);
         if (run.aborted) any_abort = true;
         if (run.heading_deg) {
             settled_axis_ = healthy;

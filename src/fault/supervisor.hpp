@@ -201,7 +201,8 @@ private:
     [[nodiscard]] std::optional<double> reconstruct_heading(
         analog::Channel healthy, std::int64_t good_count) const;
 
-    /// One run of the degraded plan on a surviving axis.
+    /// One run of the degraded plan on a surviving axis, through
+    /// PlanExecutor::run_lanes as a batch of one.
     struct SingleAxisRun {
         compass::Measurement measurement;  ///< partial: one axis counted
         HealthReport health;
@@ -210,8 +211,7 @@ private:
         /// surviving axis, or reconstruction refused.
         std::optional<double> heading_deg;
     };
-    SingleAxisRun run_single_axis(compass::PlanExecutor& executor,
-                                  analog::Channel healthy);
+    SingleAxisRun run_single_axis(analog::Channel healthy);
 
     /// The ladder proper; `any_abort` reports whether any attempt threw.
     SupervisedMeasurement measure_impl(bool& any_abort);

@@ -72,34 +72,36 @@ void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double*
     const double na_pickup = params_.n_pickup * params_.core_area_m2;
     const double na_exc = params_.n_excitation * params_.core_area_m2;
     const double r_exc = params_.r_excitation_ohm;
+    const auto b_at = [&](int k) { return magnetics::kMu0 * (h[k] + m[k]); };
+    // Only the last sample's excitation voltage survives the block, so
+    // it is computed once below from the last two excitation linkages.
+    const bool first = first_step_;
+    const double le_entry = lambda_exc_prev_;
     double lp_prev = lambda_pickup_prev_;
-    double le_prev = lambda_exc_prev_;
-    double v_exc = v_excitation_;
     int k = 0;
-    if (first_step_) {
-        const double b = magnetics::kMu0 * (h[0] + m[0]);
-        lp_prev = na_pickup * b;
-        le_prev = na_exc * b;
+    if (first) {
+        lp_prev = na_pickup * b_at(0);
         v_out[0] = 0.0;
-        v_exc = r_exc * i_exc[0];
         first_step_ = false;
         k = 1;
     }
     for (; k < n; ++k) {
-        const double b = magnetics::kMu0 * (h[k] + m[k]);
-        const double lp = na_pickup * b;
-        const double le = na_exc * b;
+        const double lp = na_pickup * b_at(k);
         v_out[k] = (lp - lp_prev) / dt_s;
-        v_exc = r_exc * i_exc[k] + (le - le_prev) / dt_s;
         lp_prev = lp;
-        le_prev = le;
+    }
+    const double le_last = na_exc * b_at(n - 1);
+    if (first && n == 1) {
+        v_excitation_ = r_exc * i_exc[0];
+    } else {
+        const double le_before = n >= 2 ? na_exc * b_at(n - 2) : le_entry;
+        v_excitation_ = r_exc * i_exc[n - 1] + (le_last - le_before) / dt_s;
     }
     h_core_ = h[n - 1];
-    b_core_ = magnetics::kMu0 * (h[n - 1] + m[n - 1]);
+    b_core_ = b_at(n - 1);
     v_pickup_ = v_out[n - 1];
-    v_excitation_ = v_exc;
     lambda_pickup_prev_ = lp_prev;
-    lambda_exc_prev_ = le_prev;
+    lambda_exc_prev_ = le_last;
 }
 
 void FluxgateSensor::step_block_constant(double i_excitation_a, double dt_s, int n) {

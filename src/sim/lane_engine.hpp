@@ -43,6 +43,7 @@
 ///    window boundary — the scalar abort point — without perturbing
 ///    the other lanes.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -92,25 +93,55 @@ public:
     /// enabled (the plan's PowerUp stage has run). Lanes are
     /// independent; any subset of the same calls on the per-member
     /// path yields bit-identical member state.
+    ///
+    /// Lanes are taken in groups of up to two stripes. A group of two
+    /// or more lanes runs the stripe kernel (one member per vector
+    /// lane); a group of exactly one lane — a one-member batch, or the
+    /// trailing remainder of a longer list — runs the time form, which
+    /// vectorises that member's per-sample work over consecutive
+    /// samples instead of padding a stripe. Both forms produce the
+    /// same bits.
     void advance(const LanePort* lanes, int n_lanes, analog::Channel channel,
                  int steps, double dt_s);
 
-private:
-    /// Advances one group of S consecutive stripes (n <= S*kLanes
-    /// lanes) through a single interleaved kernel loop. Each sample's
-    /// arithmetic spine (divide -> exp polynomial -> tanh divide ->
-    /// pickup divide) is a long serial dependency chain; running S
-    /// stripes statement-by-statement through one body gives the
-    /// out-of-order core S independent chains to overlap. Lanes never
-    /// interact, so the result is bit-identical to S separate stripe
-    /// passes.
-    template <int S>
-    void advance_group(const LanePort* lanes, int n, analog::Channel channel,
-                       int steps, double dt_s);
+    /// Bytes reserved for per-sample emitted-stream capture (tap replay
+    /// and delegated hardware counters). Stays 0 for an engine whose
+    /// groups never needed it.
+    [[nodiscard]] std::size_t capture_capacity() const noexcept;
 
-    // Per-group emitted streams, one bit per group lane per sample
-    // (movemask, stripe s in bits [s*kLanes, (s+1)*kLanes)), consumed
-    // by tap replay and delegated counters.
+private:
+    struct Group;
+
+    /// Reads `n` members' constants and state into `grp`, laid out for
+    /// a kernel `width` lanes wide (pad lanes copy lane 0), and fills
+    /// the time-varying environment streams when some field varies.
+    void gather(const LanePort* lanes, int n, int width, analog::Channel channel,
+                int steps, double dt_s, Group& grp);
+
+    /// Stripe kernel: S consecutive stripes (n <= S*kLanes lanes) in
+    /// one interleaved loop. Each sample's arithmetic spine (divide ->
+    /// exp polynomial -> tanh divide -> pickup divide) is a long serial
+    /// dependency chain; running S stripes statement-by-statement
+    /// through one body gives the out-of-order core S independent
+    /// chains to overlap. Lanes never interact, so the result is
+    /// bit-identical to S separate stripe passes.
+    template <int S>
+    void advance_stripes(Group& grp, int steps, double dt_s);
+
+    /// Time form for a one-lane group: sample-order chains run scalar
+    /// per tile, per-sample work runs kLanes consecutive samples per
+    /// vector, and emitted streams are written straight into bytes_.
+    void advance_time_form(Group& grp, int steps, double dt_s);
+
+    /// Writes the advanced state back through the stages' seams, then
+    /// replays taps and clocks delegated counters over the emitted
+    /// streams (already unpacked into bytes_ when `bytes_ready`).
+    void scatter(const LanePort* lanes, const Group& grp, analog::Channel channel,
+                 int steps, double dt_s, bool bytes_ready);
+
+    // Per-group emitted streams of the stripe kernel, one bit per group
+    // lane per sample (movemask, stripe s in bits [s*kLanes,
+    // (s+1)*kLanes)), consumed by tap replay and delegated counters.
     std::vector<std::uint8_t> det_bits_;
     std::vector<std::uint8_t> valid_bits_;
     // Unpacked per-lane byte streams (det x/y, valid x/y).
@@ -119,10 +150,10 @@ private:
     // FieldSource actually varies within the advance (constant sources
     // never touch these): per-sample interleaved active-axis field and
     // temperature-derived core/sensitivity parameters
-    // [sample * group_width + lane], per-tile change flags (0 =
-    // unchanged, 1 = reload at tile start, 2 = per-sample), and
-    // per-lane contiguous idle-axis field / ambient temperature
-    // streams replayed through FluxgateSensor::step_block_env.
+    // [sample * group_width + lane], per-tile change flags for the
+    // stripe kernel (0 = unchanged, 1 = reload at tile start, 2 =
+    // per-sample), and per-lane contiguous idle-axis field / ambient
+    // temperature streams replayed through FluxgateSensor::step_block_env.
     std::vector<double> env_h_, env_ms_, env_hk_, env_fpa_;
     std::vector<double> idle_h_, idle_t_;
     std::vector<std::uint8_t> tile_env_;

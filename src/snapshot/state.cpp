@@ -32,6 +32,10 @@ constexpr std::uint32_t kSupervisor = section_tag('S', 'U', 'P', 'V');
 constexpr std::uint32_t kMetrics = section_tag('M', 'T', 'R', 'S');
 }  // namespace tags
 
+/// Upper bound on a stored temperature-compensation polynomial (a fit
+/// is a handful of coefficients; a longer list is a corrupt file).
+constexpr std::uint32_t kMaxTempCoefficients = 64;
+
 // --------------------------------------------------------- fingerprint
 
 /// FNV-1a-64 accumulator over a canonical field encoding (doubles as
@@ -398,6 +402,16 @@ CompassState parse_compass_sections(SnapshotReader& r) {
     st.calibration.offset_x = r.get_i64();
     st.calibration.offset_y = r.get_i64();
     st.calibration.scale_y = r.get_f64();
+    st.calibration.temp.t_ref_c = r.get_f64();
+    const std::uint32_t n_coeff = r.get_u32();
+    if (n_coeff > kMaxTempCoefficients) {
+        throw SnapshotError("snapshot temperature polynomial too long: " +
+                            std::to_string(n_coeff) + " coefficients");
+    }
+    st.calibration.temp.coeff.clear();
+    for (std::uint32_t i = 0; i < n_coeff; ++i) {
+        st.calibration.temp.coeff.push_back(r.get_f64());
+    }
     r.leave_section();
 
     r.enter_section(tags::kDisplay);
@@ -603,10 +617,14 @@ void save_compass_sections(SnapshotWriter& w, compass::Compass& compass,
     w.put_bool(full.trap_pending);
     w.end_section();
 
+    const compass::CountCalibration& cal = compass.calibration();
     w.begin_section(tags::kCalibration);
-    w.put_i64(compass.calibration().offset_x);
-    w.put_i64(compass.calibration().offset_y);
-    w.put_f64(compass.calibration().scale_y);
+    w.put_i64(cal.offset_x);
+    w.put_i64(cal.offset_y);
+    w.put_f64(cal.scale_y);
+    w.put_f64(cal.temp.t_ref_c);
+    w.put_u32(static_cast<std::uint32_t>(cal.temp.coeff.size()));
+    for (const double a : cal.temp.coeff) w.put_f64(a);
     w.end_section();
 
     const digital::DisplayDriver::State disp = compass.display().save_state();

@@ -482,18 +482,30 @@ typename B::D expm1_t(typename B::D x) {
 
 /// tanh(x) = sign(x) * -q / (2 + q) with q = expm1(-2|x|), saturating
 /// to +-1 for |x| >= 19 (where the quotient rounds to 1.0 anyway, so
-/// there is no step against libm). Finite inputs only.
+/// there is no step against libm). Finite inputs only. Split in two so
+/// a caller can run the halves in separate loops: tanh_q_t computes q,
+/// tanh_from_q_t the quotient, and tanh_t is exactly their composition.
 template <class B>
-typename B::D tanh_t(typename B::D x) {
+typename B::D tanh_q_t(typename B::D x) {
+    const typename B::D ax = B::bit_andnot(B::splat(-0.0), x);
+    return expm1_t<B>(B::mul(ax, B::splat(-2.0)));
+}
+
+template <class B>
+typename B::D tanh_from_q_t(typename B::D x, typename B::D q) {
     using D = typename B::D;
     const D sign_bit = B::splat(-0.0);
     const D sign = B::bit_and(x, sign_bit);
     const D ax = B::bit_andnot(sign_bit, x);
-    const D q = expm1_t<B>(B::mul(ax, B::splat(-2.0)));
     // 0 - q (not a sign flip) so tanh(+-0) keeps libm's +-0.
     D r = B::div(B::sub(B::splat(0.0), q), B::add(B::splat(2.0), q));
     r = B::blend(B::cmp_ge(ax, B::splat(19.0)), B::splat(1.0), r);
     return B::bit_or(r, sign);
+}
+
+template <class B>
+typename B::D tanh_t(typename B::D x) {
+    return tanh_from_q_t<B>(x, tanh_q_t<B>(x));
 }
 
 }  // namespace detail
@@ -548,6 +560,12 @@ inline ivec d2i_exact(dvec a) { return detail::Active::d2i_exact(a); }
 inline dvec vexp(dvec x) { return detail::exp_t<detail::Active>(x); }
 inline dvec vexpm1(dvec x) { return detail::expm1_t<detail::Active>(x); }
 inline dvec vtanh(dvec x) { return detail::tanh_t<detail::Active>(x); }
+/// The two halves of vtanh: vtanh(x) == vtanh_from_q(x, vtanh_q(x)),
+/// bit for bit (q = expm1(-2|x|)).
+inline dvec vtanh_q(dvec x) { return detail::tanh_q_t<detail::Active>(x); }
+inline dvec vtanh_from_q(dvec x, dvec q) {
+    return detail::tanh_from_q_t<detail::Active>(x, q);
+}
 
 /// Scalar exp through the vector pipeline: lane 0 of the splat result.
 /// Bit-identical to any lane of vexp on the same input (every op is

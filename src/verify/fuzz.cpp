@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <utility>
 
@@ -171,20 +172,45 @@ Outcome measure_outcome(compass::Compass& comp) {
     return o;
 }
 
-/// Runs one measurement through the SoA lane engine as a batch of one
+/// Runs one measurement of `comp` through the SoA lane engine
 /// (PlanExecutor::run_lanes) and captures the same Outcome the scalar
-/// and block rigs expose. An aborted lane reports its (partial)
-/// measurement through the LaneOutcome slot; the per-member path loses
-/// it to the exception, so mirror that here and compare the abort point
-/// through the captured pipeline state instead.
-Outcome lanes_outcome(compass::Compass& comp) {
+/// and block rigs expose. The lane rides in a batch of 1, 2, 4 or 8
+/// members at a position, both drawn from the case and `salt`; the
+/// siblings are fresh compasses of the case configuration at other
+/// headings. So the oracles reach the single-member time form as well
+/// as the stripe kernel with and without pad lanes, and since lanes
+/// never interact, the case's outcome must not depend on its batch. An
+/// aborted lane reports its (partial) measurement through the
+/// LaneOutcome slot; the per-member path loses it to the exception, so
+/// mirror that here and compare the abort point through the captured
+/// pipeline state instead.
+Outcome lanes_outcome(const FuzzCase& c, std::uint64_t salt, compass::Compass& comp) {
+    util::Rng rng(mix(c.seed ^ 0x6C616E65ULL, c.index * 64 + salt));
+    static constexpr int kBatch[] = {1, 2, 4, 8};
+    const int n = kBatch[rng.uniform_int(0, 3)];
+    const int at = static_cast<int>(rng.uniform_int(0, n - 1));
+    const magnetics::EarthField field(magnetics::microtesla(c.field_ut),
+                                      c.inclination_deg);
+    std::vector<std::unique_ptr<compass::Compass>> siblings;
+    std::vector<compass::Compass*> lanes;
+    for (int i = 0; i < n; ++i) {
+        if (i == at) {
+            lanes.push_back(&comp);
+            continue;
+        }
+        siblings.push_back(
+            std::make_unique<compass::Compass>(rig_config(c, sim::EngineKind::Block)));
+        siblings.back()->set_environment(
+            field, util::wrap_deg_360(c.heading_deg + 41.0 * (i + 1)));
+        lanes.push_back(siblings.back().get());
+    }
+    std::vector<compass::LaneOutcome> slots(static_cast<std::size_t>(n));
+    compass::PlanExecutor::run_lanes(comp.plan(), lanes, slots);
+    const compass::LaneOutcome& slot = slots[static_cast<std::size_t>(at)];
     Outcome o;
-    compass::Compass* const lanes[1] = {&comp};
-    compass::LaneOutcome slot[1];
-    compass::PlanExecutor::run_lanes(comp.plan(), lanes, slot);
-    o.aborted = slot[0].aborted;
-    o.error = slot[0].error;
-    if (!slot[0].aborted) o.m = slot[0].measurement;
+    o.aborted = slot.aborted;
+    o.error = slot.error;
+    if (!slot.aborted) o.m = slot.measurement;
     capture_state(comp, o);
     return o;
 }
@@ -296,12 +322,14 @@ std::optional<std::string> run_engine_parity(const FuzzCase& c) {
             return format("engine parity (scalar vs block), rep %d: %s", rep,
                           d->c_str());
         }
-        const Outcome l = lanes_outcome(lane.compass);
+        const Outcome l =
+            lanes_outcome(c, 2 * static_cast<std::uint64_t>(rep), lane.compass);
         if (auto d = diff_outcomes(a, l)) {
             return format("engine parity (scalar vs lanes), rep %d: %s", rep,
                           d->c_str());
         }
-        const Outcome lt = lanes_outcome(lane_traced.compass);
+        const Outcome lt =
+            lanes_outcome(c, 2 * static_cast<std::uint64_t>(rep) + 1, lane_traced.compass);
         if (auto d = diff_outcomes(a, lt)) {
             return format("engine parity (scalar vs traced lanes), rep %d: %s",
                           rep, d->c_str());
@@ -473,11 +501,12 @@ struct SnapRig {
     telemetry::PhysicsProbes probes;
     telemetry::TeeSink tee;
 
-    explicit SnapRig(const FuzzCase& c)
+    SnapRig(const FuzzCase& c, bool calibrated)
         : rig(c, c.config.engine, c.counter_width_bits, c.trap_on_overflow),
           probes(registry),
           tee({&trace, &probes}) {
         if (c.with_telemetry) rig.compass.set_telemetry(&tee);
+        if (calibrated) rig.compass.set_calibration(c.calibration);
     }
 };
 
@@ -494,9 +523,10 @@ std::optional<std::string> run_snapshot_roundtrip(const FuzzCase& c) {
     const int T = c.ticks;
     const int k = c.snapshot_at;
 
-    auto tick = [&](SnapRig& r) {
-        return c.use_lanes ? lanes_outcome(r.rig.compass)
-                           : measure_outcome(r.rig.compass);
+    auto tick = [&](SnapRig& r, int t) {
+        return c.use_lanes
+                   ? lanes_outcome(c, static_cast<std::uint64_t>(t), r.rig.compass)
+                   : measure_outcome(r.rig.compass);
     };
     auto save_opts = [](SnapRig& r) {
         snapshot::SaveOptions opts;
@@ -504,8 +534,8 @@ std::optional<std::string> run_snapshot_roundtrip(const FuzzCase& c) {
         return opts;
     };
 
-    SnapRig a(c);
-    SnapRig b(c);
+    SnapRig a(c, /*calibrated=*/true);
+    SnapRig b(c, /*calibrated=*/true);
     snapshot::ReplayWriter replay;
     std::vector<Outcome> ref;
     std::vector<std::uint8_t> snap;
@@ -521,15 +551,15 @@ std::optional<std::string> run_snapshot_roundtrip(const FuzzCase& c) {
         replay.append({static_cast<std::uint64_t>(t),
                        fe.sensor(analog::Channel::X).external_field(),
                        fe.sensor(analog::Channel::Y).external_field()});
-        ref.push_back(tick(a));
-        const Outcome ob = tick(b);
+        ref.push_back(tick(a, t));
+        const Outcome ob = tick(b, t);
         if (auto d = diff_outcomes(ref.back(), ob)) {
             return format("snapshot at boundary %d perturbed the donor, tick %d: %s",
                           k, t, d->c_str());
         }
     }
 
-    SnapRig cc(c);
+    SnapRig cc(c, /*calibrated=*/false);
     try {
         snapshot::RestoreTargets targets;
         if (cc.rig.injector.armed()) targets.injector = &cc.rig.injector;
@@ -554,7 +584,7 @@ std::optional<std::string> run_snapshot_roundtrip(const FuzzCase& c) {
             return format("replay log tick %d stored as %" PRIu64, t, in.tick);
         }
         cc.rig.compass.set_axis_fields(in.hx_a_per_m, in.hy_a_per_m);
-        const Outcome oc = tick(cc);
+        const Outcome oc = tick(cc, t);
         if (auto d = diff_outcomes(ref[static_cast<std::size_t>(t)], oc)) {
             return format("restored run diverged at tick %d (snapshot at %d): %s",
                           t, k, d->c_str());
@@ -668,7 +698,8 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
             return format("scenario scalar vs block, tick %d: %s", t, d->c_str());
         }
         if (lanes_ok) {
-            const Outcome l = lanes_outcome(ln.compass);
+            const Outcome l =
+                lanes_outcome(c, static_cast<std::uint64_t>(t), ln.compass);
             if (auto d = diff_outcomes(a, l)) {
                 return format("scenario scalar vs lanes, tick %d: %s", t,
                               d->c_str());
@@ -837,6 +868,21 @@ FuzzCase generate_case(std::uint64_t seed, std::uint64_t index,
             c.snapshot_at = static_cast<int>(rng.uniform_int(1, c.ticks - 1));
             c.with_telemetry = rng.chance(0.5);
             c.use_lanes = rng.chance(0.5);
+            // Every field the calibration section carries: hard-iron
+            // offsets, the soft-iron gain and a temperature polynomial
+            // whose reference sits away from the rig's ambient
+            // temperature, so each coefficient reaches the counts.
+            c.calibration.offset_x = rng.uniform_int(-300, 300);
+            c.calibration.offset_y = rng.uniform_int(-300, 300);
+            c.calibration.scale_y = rng.uniform(0.9, 1.1);
+            if (rng.chance(0.8)) {
+                c.calibration.temp.t_ref_c = rng.uniform(-10.0, 60.0);
+                const int n_coeff = static_cast<int>(rng.uniform_int(1, 4));
+                c.calibration.temp.coeff.push_back(rng.uniform(0.95, 1.05));
+                for (int i = 1; i < n_coeff; ++i) {
+                    c.calibration.temp.coeff.push_back(rng.uniform(-2e-3, 2e-3));
+                }
+            }
             break;
         }
         case Oracle::ScenarioDeterminism: {
@@ -904,8 +950,16 @@ std::string FuzzCase::to_literal() const {
         out += format(", raw=(%" PRId64 ", %" PRId64 ")", raw_x, raw_y);
     }
     if (oracle == Oracle::SnapshotRoundTrip) {
-        out += format(", ticks=%d, snapshot_at=%d, telemetry=%d, lanes=%d", ticks,
-                      snapshot_at, with_telemetry ? 1 : 0, use_lanes ? 1 : 0);
+        out += format(", ticks=%d, snapshot_at=%d, telemetry=%d, lanes=%d, "
+                      "cal={offset=(%" PRId64 ", %" PRId64 "), scale_y=%.17g, "
+                      "t_ref=%.17g, coeff=[",
+                      ticks, snapshot_at, with_telemetry ? 1 : 0, use_lanes ? 1 : 0,
+                      calibration.offset_x, calibration.offset_y, calibration.scale_y,
+                      calibration.temp.t_ref_c);
+        for (std::size_t i = 0; i < calibration.temp.coeff.size(); ++i) {
+            out += format(i == 0 ? "%.17g" : ", %.17g", calibration.temp.coeff[i]);
+        }
+        out += "]}";
     }
     if (oracle == Oracle::ScenarioDeterminism) {
         out += format(", ticks=%d, telemetry=%d, lanes=%d, scn={rate=%.6g, "

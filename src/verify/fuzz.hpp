@@ -103,6 +103,9 @@ struct FuzzCase {
 
     int ticks = 1;                 ///< Snapshot/Scenario: measurements per run
     int snapshot_at = 0;           ///< tick boundary the snapshot is taken at
+    /// Snapshot: count calibration of the reference and donor rigs (the
+    /// restored rig starts uncalibrated, so the snapshot must carry it).
+    compass::CountCalibration calibration;
     bool with_telemetry = false;   ///< attach trace+probes sinks to every rig
     bool use_lanes = false;        ///< tick through the SoA lane engine
 

@@ -136,12 +136,23 @@ bool halve_raw_y(FuzzCase& c) {
     return true;
 }
 
+bool no_calibration(FuzzCase& c) {
+    const compass::CountCalibration none;
+    if (c.calibration.offset_x == none.offset_x &&
+        c.calibration.offset_y == none.offset_y &&
+        c.calibration.scale_y == none.scale_y && !c.calibration.temp.enabled()) {
+        return false;
+    }
+    c.calibration = none;
+    return true;
+}
+
 constexpr Reduction kReductions[] = {
     zero_noise,     zero_mismatch, default_oscillator, no_settle,
     one_period,     min_steps,     default_gating,     default_cordic,
     block_engine,   no_trap,       widen_register,     canonical_field,
     snap_heading,   zero_raw_x,    zero_raw_y,         halve_raw_x,
-    halve_raw_y,
+    halve_raw_y,    no_calibration,
 };
 
 }  // namespace

@@ -21,7 +21,9 @@
 #include "digital/counter.hpp"
 #include "fault/fault_injector.hpp"
 #include "magnetics/earth_field.hpp"
+#include "magnetics/scenario.hpp"
 #include "magnetics/units.hpp"
+#include "sim/engine.hpp"
 #include "sim/lane_engine.hpp"
 #include "snapshot/state.hpp"
 #include "telemetry/metrics.hpp"
@@ -646,6 +648,432 @@ TEST(CompassFleet, MemberSubsetRejectsBadIdsBeforeMeasuring) {
     EXPECT_TRUE(fleet.measure_members({}, 2).empty());
     EXPECT_EQ(health_counter(fleet, "batches_total"), 1u);
     EXPECT_EQ(health_counter(fleet, "members_measured"), 0u);
+}
+
+
+// ------------------------------------------------- single-member form
+//
+// A group of exactly one lane runs the time form of the kernel
+// (per-sample work vectorised over consecutive samples). It must be
+// bit-identical to the scalar reference in every configuration the
+// stripe kernel takes.
+
+/// One fleet member measured `reps` times through the lane path (a
+/// one-lane group) and through FleetExecution::PerMember on the scalar
+/// engine. Compares the outcome, the counter register with its sticky
+/// and trap-pending flags, the stream statistics and the member's
+/// snapshot bytes. Returns the lane member's last result.
+compass::FleetResult time_form_check(
+    compass::CompassConfig cfg,
+    const std::function<void(compass::Compass&, fault::FaultInjector&)>& setup,
+    int reps = 2) {
+    cfg.engine = sim::EngineKind::Scalar;
+    compass::CompassFleet lane(1, cfg);
+    compass::CompassFleet ref(1, cfg);
+    ref.set_execution(compass::FleetExecution::PerMember);
+    fault::FaultInjector lane_inj;
+    fault::FaultInjector ref_inj;
+    setup(lane.at(0), lane_inj);
+    setup(ref.at(0), ref_inj);
+    EXPECT_TRUE(sim::LaneEngine::eligible(lane.at(0).front_end()));
+    snapshot::SaveOptions lane_opts;
+    snapshot::SaveOptions ref_opts;
+    if (lane_inj.armed()) {
+        lane_opts.injector = &lane_inj;
+        ref_opts.injector = &ref_inj;
+    }
+    compass::FleetResult last;
+    for (int rep = 0; rep < reps; ++rep) {
+        SCOPED_TRACE(testing::Message() << "rep " << rep);
+        const std::vector<compass::FleetResult> a = lane.measure_all_results(1);
+        const std::vector<compass::FleetResult> b = ref.measure_all_results(1);
+        last = a[0];
+        EXPECT_EQ(a[0].ok, b[0].ok) << a[0].error << " | " << b[0].error;
+        EXPECT_EQ(a[0].error, b[0].error);
+        if (a[0].ok) expect_bit_identical(a[0].measurement, b[0].measurement);
+        expect_same_pipeline_state(lane.at(0), ref.at(0));
+        EXPECT_EQ(lane.at(0).counter().trap_pending(),
+                  ref.at(0).counter().trap_pending());
+        EXPECT_EQ(snapshot::snapshot_member(lane, 0, lane_opts),
+                  snapshot::snapshot_member(ref, 0, ref_opts));
+    }
+    return last;
+}
+
+/// Default timing (2048 samples per period): the counter increment
+/// dt * f_clk is 0.256, below one tick per sample.
+compass::CompassConfig paper_timing_config() {
+    compass::CompassConfig cfg;
+    cfg.periods_per_axis = 1;
+    cfg.settle_periods = 1;
+    return cfg;
+}
+
+void place(compass::Compass& c, double heading) { c.set_environment(site(), heading); }
+
+TEST(LaneTimeForm, TanhAndHystereticCoresMatchScalar) {
+    for (const sensor::CoreKind kind :
+         {sensor::CoreKind::Tanh, sensor::CoreKind::JilesAtherton,
+          sensor::CoreKind::Langevin}) {
+        for (const compass::CompassConfig& base : {paper_timing_config(), lite_config()}) {
+            SCOPED_TRACE(testing::Message() << "core " << static_cast<int>(kind)
+                                            << " spp " << base.steps_per_period);
+            compass::CompassConfig cfg = base;
+            cfg.front_end.core_kind = kind;
+            time_form_check(cfg, [](compass::Compass& c, fault::FaultInjector&) {
+                place(c, 123.0);
+            });
+        }
+    }
+}
+
+TEST(LaneTimeForm, PickupNoiseOnAndOffMatchesScalar) {
+    for (const double rms : {0.0, 1.0e-3}) {
+        SCOPED_TRACE(rms);
+        compass::CompassConfig cfg = paper_timing_config();
+        cfg.front_end.pickup_noise_rms_v = rms;
+        cfg.front_end.noise_seed = 99;
+        time_form_check(cfg, [](compass::Compass& c, fault::FaultInjector&) {
+            place(c, 301.0);
+        });
+    }
+}
+
+// Constant, turning and temperature-ramp environments (the last on
+// temperature-sensitive sensors, with a tanh core and a generic one).
+TEST(LaneTimeForm, ScenariosMatchScalar) {
+    for (int variant = 0; variant < 4; ++variant) {
+        SCOPED_TRACE(variant);
+        compass::CompassConfig cfg = paper_timing_config();
+        const bool thermal = variant >= 2;
+        if (thermal) {
+            cfg.front_end.sensor.ms_temp_coeff_per_c = 3.0e-4;
+            cfg.front_end.sensor.hk_temp_coeff_per_c = -2.0e-4;
+            cfg.front_end.sensor.sens_temp_coeff_per_c = 2.0e-4;
+            cfg.front_end.sensor_temp_mismatch_per_c = 6.0e-4;
+        }
+        if (variant == 3) cfg.front_end.core_kind = sensor::CoreKind::Langevin;
+        const compass::MeasurementPlan plan = compass::compile_plan(cfg);
+        const double total_s = 2.0 * static_cast<double>(plan.total_steps()) * plan.dt_s;
+        magnetics::Scenario scn;
+        scn.field = site();
+        scn.initial_heading_deg = 40.0;
+        if (variant == 0) {
+            scn.hold(total_s);
+        } else {
+            scn.hold(0.2 * total_s).turn(9000.0, 0.6 * total_s).hold(0.2 * total_s);
+        }
+        if (thermal) scn.temperature(0.0, 10.0).temperature(total_s, 55.0);
+        const auto src = magnetics::compile_scenario(scn, plan.dt_s);
+        time_form_check(cfg, [&](compass::Compass& c, fault::FaultInjector&) {
+            c.set_field_source(src);
+        });
+    }
+}
+
+// A stream fault on either axis arms the member's tap: the time form
+// writes the emitted bytes straight into the replay buffer.
+TEST(LaneTimeForm, ArmedTapMatchesScalar) {
+    for (const analog::Channel ch : {analog::Channel::X, analog::Channel::Y}) {
+        for (const fault::FaultClass fc :
+             {fault::FaultClass::DetectorStuckHigh, fault::FaultClass::NoiseBurst}) {
+            SCOPED_TRACE(testing::Message() << "channel " << static_cast<int>(ch)
+                                            << " fault " << fault::to_string(fc));
+            time_form_check(paper_timing_config(),
+                            [&](compass::Compass& c, fault::FaultInjector& inj) {
+                                place(c, 77.0);
+                                fault::FaultSpec spec;
+                                spec.fault = fc;
+                                spec.channel = ch;
+                                spec.persistence = fault::Persistence::Transient;
+                                spec.start_sample = 3000;
+                                spec.duration_samples = 2500;
+                                spec.magnitude = 0.2;
+                                spec.seed = 5;
+                                inj.add(spec);
+                                inj.arm(c);
+                            });
+        }
+    }
+}
+
+// A narrow register wraps (sticky flag) on the member object over the
+// emitted bytes; with the trap enabled both paths abort at the same
+// window boundary.
+TEST(LaneTimeForm, NarrowCounterWrapsAndTrapsLikeScalar) {
+    for (const bool trap : {false, true}) {
+        SCOPED_TRACE(trap);
+        const compass::FleetResult last = time_form_check(
+            paper_timing_config(), [&](compass::Compass& c, fault::FaultInjector&) {
+                place(c, 200.0);
+                digital::CounterHardware hw;
+                hw.width_bits = 8;
+                hw.trap_on_overflow = trap;
+                c.counter().set_hardware(hw);
+            });
+        EXPECT_EQ(last.ok, !trap) << last.error;
+        if (!trap) {
+            EXPECT_NE(last.measurement.count_x, 0);
+        }
+    }
+}
+
+// The detector latches run a whole tile at a time from the comparator
+// events; a negative hysteresis lets one sample cross both thresholds
+// (the latch toggles), which takes the sample-by-sample path.
+TEST(LaneTimeForm, DetectorHysteresisBothSignsMatchesScalar) {
+    for (const double hyst : {2.0e-3, 0.0, -2.0e-3}) {
+        SCOPED_TRACE(hyst);
+        compass::CompassConfig cfg = paper_timing_config();
+        cfg.front_end.detector.comparator_hysteresis_v = hyst;
+        cfg.front_end.pickup_noise_rms_v = 3.0e-3;
+        time_form_check(cfg, [](compass::Compass& c, fault::FaultInjector&) {
+            place(c, 333.0);
+        });
+    }
+}
+
+TEST(LaneTimeForm, StuckMuxMatchesScalar) {
+    time_form_check(paper_timing_config(),
+                    [](compass::Compass& c, fault::FaultInjector& inj) {
+                        place(c, 15.0);
+                        fault::FaultSpec spec;
+                        spec.fault = fault::FaultClass::MuxStuck;
+                        spec.channel = analog::Channel::Y;
+                        inj.add(spec);
+                        inj.arm(c);
+                    });
+}
+
+// 65 samples per period leaves a partial vector at the end of every
+// advance. The default counter clock gives 8.07 ticks per sample there
+// (the floor() path); a slow clock gives 0.39 (the compare path).
+TEST(LaneTimeForm, OddStepsPerPeriodInBothTickRegimes) {
+    for (const double clock_hz : {4194304.0, 200000.0}) {
+        SCOPED_TRACE(clock_hz);
+        compass::CompassConfig cfg;
+        cfg.steps_per_period = 65;
+        cfg.periods_per_axis = 3;
+        cfg.settle_periods = 1;
+        cfg.counter_clock_hz = clock_hz;
+        cfg.front_end.pickup_noise_rms_v = 5.0e-4;
+        time_form_check(cfg, [](compass::Compass& c, fault::FaultInjector&) {
+            place(c, 250.0);
+        });
+    }
+}
+
+// Engine level: one counting advance that wraps a trapping register
+// leaves the trap pending (serviced only at the plan's window
+// boundary). The one-lane LaneEngine advance and the scalar engine's
+// leave identical counter and pipeline state.
+TEST(LaneTimeForm, PendingTrapAndRegisterMatchScalarEngine) {
+    compass::CompassConfig cfg = paper_timing_config();
+    compass::Compass lane(cfg);
+    compass::Compass ref(cfg);
+    for (compass::Compass* c : {&lane, &ref}) {
+        place(*c, 180.0);
+        digital::CounterHardware hw;
+        hw.width_bits = 6;
+        hw.trap_on_overflow = true;
+        c->counter().set_hardware(hw);
+        c->front_end().enable(true);
+        c->counter().enable(true);
+        c->front_end().select(analog::Channel::X);
+    }
+    const compass::MeasurementPlan& plan = lane.plan();
+    const int steps = 3 * plan.steps_per_period;
+    double lane_energy = 0.0;
+    double ref_energy = 0.0;
+    sim::LaneEngine engine;
+    const sim::LanePort port{&lane.front_end(), &lane.counter(), &lane_energy};
+    engine.advance(&port, 1, analog::Channel::X, steps, plan.dt_s);
+    sim::ScalarEngine scalar;
+    scalar.advance(ref.front_end(), analog::Channel::X, steps, plan.dt_s, &ref.counter(),
+                   ref_energy);
+
+    EXPECT_TRUE(ref.counter().trap_pending());
+    EXPECT_TRUE(ref.counter().overflowed());
+    const digital::UpDownCounter::FullState a = lane.counter().save_full_state();
+    const digital::UpDownCounter::FullState b = ref.counter().save_full_state();
+    EXPECT_EQ(a.state.tick_accumulator, b.state.tick_accumulator);
+    EXPECT_EQ(a.state.count, b.state.count);
+    EXPECT_EQ(a.state.active_ticks, b.state.active_ticks);
+    EXPECT_EQ(a.overflowed, b.overflowed);
+    EXPECT_EQ(a.trap_pending, b.trap_pending);
+    EXPECT_EQ(lane_energy, ref_energy);
+    EXPECT_EQ(snapshot::snapshot_compass(lane), snapshot::snapshot_compass(ref));
+}
+
+// Short advances of a fresh pipeline: the sensor's first sample has no
+// derivative, advances shorter than one vector leave only a partial
+// one, and the excitation voltage comes from the last one or two
+// samples. The one-lane advance leaves the scalar engine's state.
+TEST(LaneTimeForm, ShortAdvancesOfAFreshPipelineMatchScalarEngine) {
+    for (const int steps : {1, 2, 3, 5, 64}) {
+        SCOPED_TRACE(steps);
+        compass::CompassConfig cfg = paper_timing_config();
+        cfg.front_end.pickup_noise_rms_v = 1.0e-3;
+        compass::Compass lane(cfg);
+        compass::Compass ref(cfg);
+        for (compass::Compass* c : {&lane, &ref}) {
+            place(*c, 45.0);
+            c->front_end().enable(true);
+            c->counter().enable(true);
+            c->front_end().select(analog::Channel::Y);
+        }
+        const double dt = lane.plan().dt_s;
+        double lane_energy = 0.0;
+        double ref_energy = 0.0;
+        sim::LaneEngine engine;
+        sim::ScalarEngine scalar;
+        for (int rep = 0; rep < 2; ++rep) {
+            const sim::LanePort port{&lane.front_end(), &lane.counter(), &lane_energy};
+            engine.advance(&port, 1, analog::Channel::Y, steps, dt);
+            scalar.advance(ref.front_end(), analog::Channel::Y, steps, dt,
+                           &ref.counter(), ref_energy);
+            EXPECT_EQ(lane_energy, ref_energy);
+            EXPECT_EQ(snapshot::snapshot_compass(lane), snapshot::snapshot_compass(ref));
+        }
+    }
+}
+
+// Per-sample capture buffers exist only for groups that replay a tap or
+// clock a delegated hardware counter.
+TEST(LaneTimeForm, CaptureBuffersOnlyForTapsAndHardwareCounters) {
+    compass::CompassConfig cfg = paper_timing_config();
+    compass::Compass plain(cfg);
+    compass::Compass tapped(cfg);
+    fault::FaultInjector inj;
+    fault::FaultSpec spec;
+    spec.fault = fault::FaultClass::DetectorStuckLow;
+    inj.add(spec);
+    inj.arm(tapped);
+    for (compass::Compass* c : {&plain, &tapped}) {
+        place(*c, 90.0);
+        c->front_end().enable(true);
+        c->counter().enable(true);
+        c->front_end().select(analog::Channel::X);
+    }
+    const compass::MeasurementPlan& plan = plain.plan();
+    double energy = 0.0;
+    sim::LaneEngine engine;
+    const sim::LanePort bare{&plain.front_end(), &plain.counter(), &energy};
+    engine.advance(&bare, 1, analog::Channel::X, plan.steps_per_period, plan.dt_s);
+    EXPECT_EQ(engine.capture_capacity(), 0u);
+    const sim::LanePort tap{&tapped.front_end(), &tapped.counter(), &energy};
+    engine.advance(&tap, 1, analog::Channel::X, plan.steps_per_period, plan.dt_s);
+    EXPECT_GT(engine.capture_capacity(), 0u);
+}
+
+// Lists of 5 (one stripe pair with pad lanes) and 9 (a stripe pair plus
+// a trailing one-lane group) of mixed members match the per-member
+// path bit for bit.
+TEST(LaneTimeForm, MixedListsOfFiveAndNineMatchPerMember) {
+    compass::CompassConfig cfg = paper_timing_config();
+    cfg.front_end.pickup_noise_rms_v = 2.0e-4;
+    const compass::MeasurementPlan plan = compass::compile_plan(cfg);
+    magnetics::Scenario scn;
+    scn.field = site();
+    scn.initial_heading_deg = 10.0;
+    const double total_s = static_cast<double>(plan.total_steps()) * plan.dt_s;
+    scn.hold(0.3 * total_s).turn(5000.0, 0.4 * total_s).hold(0.3 * total_s);
+    const auto src = magnetics::compile_scenario(scn, plan.dt_s);
+
+    constexpr int kFleet = 9;
+    compass::CompassFleet lane(kFleet, cfg);
+    compass::CompassFleet ref(kFleet, cfg);
+    ref.set_execution(compass::FleetExecution::PerMember);
+    std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+    for (compass::CompassFleet* f : {&lane, &ref}) {
+        for (int i = 0; i < kFleet; ++i) {
+            compass::Compass& c = f->at(i);
+            place(c, 17.0 + 39.0 * i);
+            if (i == 8 || i == 3) c.set_field_source(src);
+            if (i == 4 || i == 8) {
+                digital::CounterHardware hw;
+                hw.width_bits = 9;
+                c.counter().set_hardware(hw);
+            }
+            if (i == 8 || i == 1) {
+                fault::FaultSpec spec;
+                spec.fault = fault::FaultClass::DetectorStuckHigh;
+                spec.channel = analog::Channel::Y;
+                spec.persistence = fault::Persistence::Transient;
+                spec.start_sample = 5000;
+                spec.duration_samples = 700;
+                injectors.push_back(std::make_unique<fault::FaultInjector>());
+                injectors.back()->add(spec);
+                injectors.back()->arm(c);
+            }
+        }
+    }
+    const std::vector<int> five = {8, 0, 3, 6, 1};
+    const std::vector<int> nine = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+    for (const std::vector<int>* list : {&five, &nine}) {
+        SCOPED_TRACE(list->size());
+        const auto a = lane.measure_members(*list, 1);
+        const auto b = ref.measure_members(*list, 1);
+        for (std::size_t k = 0; k < list->size(); ++k) {
+            SCOPED_TRACE(testing::Message() << "member " << (*list)[k]);
+            ASSERT_TRUE(a[k].ok) << a[k].error;
+            ASSERT_TRUE(b[k].ok) << b[k].error;
+            expect_bit_identical(a[k].measurement, b[k].measurement);
+            expect_same_pipeline_state(lane.at((*list)[k]), ref.at((*list)[k]));
+        }
+    }
+}
+
+// ReExcite runs inside run_lanes: the retry plan and the degraded
+// single-axis plan, with a fault armed, match PlanExecutor::run member
+// by member for a one-lane batch and a batch of five.
+TEST(LaneEngine, ReExcitePlansThroughRunLanesMatchRun) {
+    for (const int n : {1, 5}) {
+        for (const bool single_axis : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "n " << n << " single " << single_axis);
+            std::vector<std::unique_ptr<compass::Compass>> ref;
+            std::vector<std::unique_ptr<compass::Compass>> lane;
+            std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
+            for (int i = 0; i < n; ++i) {
+                for (auto* side : {&ref, &lane}) {
+                    side->push_back(std::make_unique<compass::Compass>(lite_config()));
+                    compass::Compass& c = *side->back();
+                    place(c, 33.0 + 71.0 * i);
+                    fault::FaultSpec spec;
+                    spec.fault = i % 2 == 0 ? fault::FaultClass::DetectorStuckLow
+                                            : fault::FaultClass::OscFrequencyDrift;
+                    spec.channel = analog::Channel::X;
+                    spec.magnitude = 1.05;
+                    injectors.push_back(std::make_unique<fault::FaultInjector>());
+                    injectors.back()->add(spec);
+                    injectors.back()->arm(c);
+                    // Evolve the pipeline first, so the power cycle has
+                    // state to clear.
+                    (void)c.measure();
+                }
+            }
+            const compass::MeasurementPlan& base = lane[0]->plan();
+            const compass::MeasurementPlan plan =
+                single_axis ? compass::with_re_excite(
+                                  compass::truncate_to_axis(base, analog::Channel::Y))
+                            : compass::with_re_excite(base);
+            std::vector<compass::Compass*> lanes;
+            for (auto& c : lane) lanes.push_back(c.get());
+            std::vector<compass::LaneOutcome> out(static_cast<std::size_t>(n));
+            compass::PlanExecutor::run_lanes(plan, lanes, out);
+            for (int i = 0; i < n; ++i) {
+                SCOPED_TRACE(i);
+                const auto k = static_cast<std::size_t>(i);
+                const compass::Measurement expect =
+                    compass::PlanExecutor(*ref[k]).run(plan);
+                ASSERT_FALSE(out[k].aborted) << out[k].error;
+                expect_bit_identical(out[k].measurement, expect);
+                expect_same_pipeline_state(*lane[k], *ref[k]);
+                EXPECT_EQ(snapshot::snapshot_compass(*lane[k]),
+                          snapshot::snapshot_compass(*ref[k]));
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/calibration.hpp"
 #include "core/compass.hpp"
 #include "core/compass_fleet.hpp"
 #include "core/plan.hpp"
@@ -360,6 +361,73 @@ TEST(CompassSnapshot, RestoredRunContinuesBitExactly) {
 
     // And the complete serialized end state matches the reference's.
     EXPECT_EQ(snapshot::snapshot_compass(resumed), snapshot::snapshot_compass(ref));
+}
+
+// The count calibration's temperature polynomial is part of the state:
+// restoring a snapshot, into the same compass or into a fresh twin,
+// keeps it, and the next measurement (taken away from the reference
+// temperature, where the polynomial matters) matches a compass that was
+// never snapshotted, bit for bit.
+TEST(CompassSnapshot, TempCompensationSurvivesRestore) {
+    compass::CompassConfig cfg = small_config();
+    cfg.steps_per_period = 128;
+    cfg.periods_per_axis = 2;
+    cfg.front_end.sensor.sens_temp_coeff_per_c = 2.0e-4;
+    cfg.front_end.sensor_temp_mismatch_per_c = 6.0e-4;
+    const std::vector<double> sweep = {-20.0, 0.0, 25.0, 40.0, 60.0};
+
+    compass::Compass ref(cfg);
+    compass::Compass comp(cfg);
+    (void)compass::fit_temp_compensation(ref, kField, sweep);
+    (void)compass::fit_temp_compensation(comp, kField, sweep);
+    ASSERT_TRUE(comp.calibration().temp.enabled());
+    const magnetics::HorizontalField f = kField.at_heading(140.0);
+    const auto hot = std::make_shared<magnetics::ConstantFieldSource>(
+        f.hx_a_per_m, f.hy_a_per_m, 45.0);
+    ref.set_field_source(hot);
+    comp.set_field_source(hot);
+    ASSERT_NE(comp.calibration().temp.gain_at(45.0), 1.0);
+
+    const std::vector<std::uint8_t> snap = snapshot::snapshot_compass(comp);
+    snapshot::restore_compass(snap, comp);
+    compass::Compass twin(cfg);
+    twin.set_field_source(hot);
+    snapshot::restore_compass(snap, twin);
+
+    for (const compass::Compass* c : {&comp, &twin}) {
+        const compass::TempCompensation& t = c->calibration().temp;
+        ASSERT_TRUE(t.enabled());
+        EXPECT_EQ(t.t_ref_c, ref.calibration().temp.t_ref_c);
+        EXPECT_EQ(t.coeff, ref.calibration().temp.coeff);
+    }
+    const compass::Measurement expected = ref.measure();
+    expect_equal_measurements(comp.measure(), expected);
+    expect_equal_measurements(twin.measure(), expected);
+}
+
+// Format v3 added the temperature polynomial; a v2 file is refused
+// before anything is applied.
+TEST(CompassSnapshot, VersionTwoFileIsRefused) {
+    compass::Compass donor(small_config());
+    donor.set_environment(kField, 30.0);
+    (void)donor.measure();
+    std::vector<std::uint8_t> snap = snapshot::snapshot_compass(donor);
+    ASSERT_EQ(snapshot::kSnapshotFormatVersion, 3u);
+    snap[8] = 2;
+    snap[9] = snap[10] = snap[11] = 0;
+    refix_file_crc(snap);
+
+    compass::Compass target(small_config());
+    target.set_environment(kField, 200.0);
+    const std::vector<std::uint8_t> before = snapshot::snapshot_compass(target);
+    try {
+        snapshot::restore_compass(snap, target);
+        FAIL() << "v2 snapshot accepted";
+    } catch (const snapshot::SnapshotError& e) {
+        EXPECT_NE(std::string(e.what()).find("version skew"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(snapshot::snapshot_compass(target), before);
 }
 
 TEST(CompassSnapshot, ConfigFingerprintMismatchRejected) {
