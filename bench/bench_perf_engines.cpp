@@ -127,12 +127,13 @@ void BM_FullCompassMeasurement(benchmark::State& state) {
 }
 BENCHMARK(BM_FullCompassMeasurement)->Unit(benchmark::kMillisecond);
 
-// ---- simulation engines: scalar reference vs block stepping ----------
+// ---- simulation engines: scalar reference vs Block ---------------------
 //
 // Same measurement (paper design point), different engine underneath.
 // items/sec = analogue samples/sec; the measurements/s counter is the
-// end-to-end fix rate. The block engine is the bit-identical fast path,
-// so block/scalar is the headline speedup of the sim layer.
+// end-to-end fix rate. Block (one member through the lane engine's time
+// form) is the bit-identical fast path, so block/scalar is the headline
+// speedup of the sim layer.
 
 void BM_CompassMeasureEngine(benchmark::State& state) {
     const auto kind = state.range(0) == 0 ? sim::EngineKind::Scalar
@@ -255,41 +256,26 @@ void write_perf_json(bool large) {
             .set(engine_ms[0] / engine_ms[1]);
     }
 
-    // One member through the lane path — a one-lane group, so the
-    // kernel's time form — against Compass::measure on the block
-    // engine. The two are alternated within one loop, so the ratio
-    // compares timings taken under the same host conditions.
+    // One member through PlanExecutor::run_lanes — a one-lane group, so
+    // the kernel's time form, the same kernel Block runs per advance.
     {
         compass::Compass lane;
-        compass::Compass block;
         lane.set_environment(field, 123.0);
-        block.set_environment(field, 123.0);
         compass::Compass* const lanes[1] = {&lane};
         compass::LaneOutcome slot[1];
         std::vector<double> lane_s;
-        std::vector<double> block_s;
         for (int i = 0; i <= kReps; ++i) {
             const auto t0 = telemetry::Clock::now();
             compass::PlanExecutor::run_lanes(lane.plan(), lanes, slot);
             const auto t1 = telemetry::Clock::now();
-            static_cast<void>(block.measure());
-            const auto t2 = telemetry::Clock::now();
-            if (i == 0) continue;  // warm-up
-            lane_s.push_back(std::chrono::duration<double>(t1 - t0).count());
-            block_s.push_back(std::chrono::duration<double>(t2 - t1).count());
+            if (i > 0) lane_s.push_back(std::chrono::duration<double>(t1 - t0).count());
         }
-        const auto median = [](std::vector<double>& v) {
-            std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-            return v[v.size() / 2];
-        };
-        const double lane_med = median(lane_s);
-        const double block_med = median(block_s);
+        std::nth_element(lane_s.begin(), lane_s.begin() + lane_s.size() / 2,
+                         lane_s.end());
+        const double lane_med = lane_s[lane_s.size() / 2];
         registry.gauge("fxg_lane_n1_measure_seconds", "s").set(lane_med);
-        registry.gauge("fxg_lane_n1_over_block", "s/s")
-            .set(block_med > 0.0 ? lane_med / block_med : 0.0);
-        std::printf("one member [%s]: lane %.3f ms, block %.3f ms (%.2f of block)\n",
-                    sim::LaneEngine::backend_name(), 1e3 * lane_med, 1e3 * block_med,
-                    block_med > 0.0 ? lane_med / block_med : 0.0);
+        std::printf("one member [%s]: lane %.3f ms\n", sim::LaneEngine::backend_name(),
+                    1e3 * lane_med);
     }
 
     // Fleet throughput at full hardware concurrency, at both ends of the
@@ -322,31 +308,31 @@ void write_perf_json(bool large) {
         }
     }
 
-    // Lane engine vs block engine at fleet scale, equal thread count
-    // (one): the block fleet is pinned PerMember (one block-engine plan
-    // execution per member, the previous production path), the lane
-    // fleet keeps Auto (SoA lane groups through run_lanes). n=1k is
-    // small enough that gather/scatter overhead still shows; n=64k is
-    // simulation-bound. The speedup gauges are the headline acceptance
-    // numbers of the lane engine.
+    // Batched lanes vs per-member dispatch at fleet scale, equal thread
+    // count (one): the per-member fleet is pinned PerMember (one
+    // Compass::measure per member, i.e. the time form on Block), the
+    // lane fleet keeps Auto (groups of up to two stripes through
+    // run_lanes). n=1k is small enough that gather/scatter overhead
+    // still shows; n=64k is simulation-bound.
     registry.gauge("fxg_simd_lanes_per_stripe", "lanes")
         .set(static_cast<double>(sim::LaneEngine::lanes_per_stripe()));
     for (const int n : {1000, 64000}) {
         const int reps = n <= 1000 ? 3 : 1;
-        const double block =
+        const double per_member =
             fleet_rate(n, compass::FleetExecution::PerMember, reps, field);
         const double lane =
             fleet_rate(n, compass::FleetExecution::Auto, reps, field);
         const std::string tag = "_n" + std::to_string(n);
-        registry.gauge("fxg_fleet_block" + tag + "_measurements_per_s", "1/s")
-            .set(block);
+        registry.gauge("fxg_fleet_per_member" + tag + "_measurements_per_s", "1/s")
+            .set(per_member);
         registry.gauge("fxg_fleet_lane" + tag + "_measurements_per_s", "1/s")
             .set(lane);
-        registry.gauge("fxg_lane_speedup_over_block" + tag, "x")
-            .set(block > 0.0 ? lane / block : 0.0);
-        std::printf("fleet n=%d [%s]: block %.1f meas/s, lane %.1f meas/s (%.2fx)\n",
-                    n, sim::LaneEngine::backend_name(), block, lane,
-                    block > 0.0 ? lane / block : 0.0);
+        registry.gauge("fxg_lane_speedup_over_per_member" + tag, "x")
+            .set(per_member > 0.0 ? lane / per_member : 0.0);
+        std::printf(
+            "fleet n=%d [%s]: per-member %.1f meas/s, lane %.1f meas/s (%.2fx)\n", n,
+            sim::LaneEngine::backend_name(), per_member, lane,
+            per_member > 0.0 ? lane / per_member : 0.0);
     }
     if (large) {
         // One-million-member lane-only gauge (several minutes of

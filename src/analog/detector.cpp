@@ -32,29 +32,6 @@ bool PulsePositionDetector::step(double v_pickup) {
     return out_;
 }
 
-void PulsePositionDetector::step_block(const double* v_pickup, int n, std::uint8_t* out) {
-    if (n <= 0) return;
-    blk_pos_.resize(static_cast<std::size_t>(n));
-    blk_neg_.resize(static_cast<std::size_t>(n));
-    positive_.step_block(v_pickup, 1.0, n, blk_pos_.data());
-    negative_.step_block(v_pickup, -1.0, n, blk_neg_.data());
-    bool prev_pos = prev_pos_;
-    bool prev_neg = prev_neg_;
-    bool o = out_;
-    for (int k = 0; k < n; ++k) {
-        const bool pos = blk_pos_[k] != 0;
-        const bool neg = blk_neg_[k] != 0;
-        if (prev_pos && !pos) o = true;
-        if (prev_neg && !neg) o = false;
-        prev_pos = pos;
-        prev_neg = neg;
-        out[k] = o ? 1 : 0;
-    }
-    prev_pos_ = prev_pos;
-    prev_neg_ = prev_neg;
-    out_ = o;
-}
-
 void PulsePositionDetector::set_comparator_offset_fault(double extra_offset_v) noexcept {
     positive_.set_offset_fault(extra_offset_v);
     negative_.set_offset_fault(extra_offset_v);

@@ -10,7 +10,6 @@
 /// simplification over second-harmonic readouts (experiment BASE1).
 
 #include <cstdint>
-#include <vector>
 
 #include "analog/comparator.hpp"
 
@@ -32,12 +31,6 @@ public:
 
     /// Processes one pickup-voltage sample; returns the digital output.
     bool step(double v_pickup);
-
-    /// Processes `n` pickup samples, writing the digital output (0/1)
-    /// into `out`. Bit-identical to n step() calls: each comparator runs
-    /// the whole block (its private noise stream advances in the same
-    /// order), then the set/clear edge logic is replayed.
-    void step_block(const double* v_pickup, int n, std::uint8_t* out);
 
     [[nodiscard]] bool output() const noexcept { return out_; }
 
@@ -91,9 +84,6 @@ private:
     bool prev_pos_ = false;
     bool prev_neg_ = false;
     bool out_ = false;
-    // Scratch comparator outputs for step_block.
-    std::vector<std::uint8_t> blk_pos_;
-    std::vector<std::uint8_t> blk_neg_;
 };
 
 }  // namespace fxg::analog

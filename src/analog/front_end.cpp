@@ -6,13 +6,6 @@
 
 namespace fxg::analog {
 
-void FrontEndBlock::resize(int n) {
-    const auto sz = static_cast<std::size_t>(n < 0 ? 0 : n);
-    for (auto& d : detector) d.assign(sz, 0);
-    for (auto& v : valid) v.assign(sz, 0);
-    power_w.resize(sz);
-}
-
 sensor::FluxgateParams FrontEnd::y_params(const FrontEndConfig& config) {
     sensor::FluxgateParams p = config.sensor;
     p.n_excitation *= (1.0 + config.sensor_mismatch);
@@ -124,7 +117,7 @@ namespace {
 
 /// Routes one scalar sample's streams through FrontEnd::finish_samples
 /// as a 1-sample block, so the tap and the statistics observe exactly
-/// the stream a block advance would have shown them.
+/// the stream a lane advance would have shown them.
 struct ScalarSampleBytes {
     std::uint8_t det[2];
     std::uint8_t valid[2];
@@ -190,126 +183,6 @@ FrontEndSample FrontEnd::step(double dt_s) {
     finish_samples(1, &bytes.det[0], &bytes.det[1], &bytes.valid[0], &bytes.valid[1]);
     bytes.store(sample);
     return sample;
-}
-
-void FrontEnd::add_noise_block(double dt_s, int n, double* v) {
-    if (config_.pickup_noise_rms_v == 0.0) return;
-    // Hoisted from noise_sample(): alpha and the drive scaling depend
-    // only on dt, so every sample of the block sees the same values the
-    // scalar path recomputes per call.
-    const double alpha = std::clamp(
-        1.0 - std::exp(-2.0 * std::numbers::pi * config_.pickup_noise_bandwidth_hz *
-                       dt_s),
-        1e-9, 1.0);
-    const double drive_rms =
-        config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
-    double state = noise_state_;
-    for (int k = 0; k < n; ++k) {
-        state += alpha * (pickup_noise_.sample() * drive_rms - state);
-        v[k] += state;
-    }
-    noise_state_ = state;
-}
-
-void FrontEnd::add_noise_block_pair(double dt_s, int n, double* vx, double* vy) {
-    if (config_.pickup_noise_rms_v == 0.0) return;
-    const double alpha = std::clamp(
-        1.0 - std::exp(-2.0 * std::numbers::pi * config_.pickup_noise_bandwidth_hz *
-                       dt_s),
-        1e-9, 1.0);
-    const double drive_rms =
-        config_.pickup_noise_rms_v * std::sqrt((2.0 - alpha) / alpha);
-    double state = noise_state_;
-    for (int k = 0; k < n; ++k) {
-        state += alpha * (pickup_noise_.sample() * drive_rms - state);
-        vx[k] += state;
-        state += alpha * (pickup_noise_.sample() * drive_rms - state);
-        vy[k] += state;
-    }
-    noise_state_ = state;
-}
-
-void FrontEnd::step_block(double dt_s, int n, FrontEndBlock& out) {
-    out.resize(n);
-    if (n <= 0) return;
-    if (field_source_ == nullptr) {
-        step_block_run(dt_s, n, out, 0);
-        return;
-    }
-    // Chunk the block at the source's constancy boundaries: inside a
-    // run the environment is constant, so the historic hoisted fast
-    // path applies verbatim (bit-identical to per-sample stepping by
-    // the step_block == n x step contract). A ConstantFieldSource
-    // answers kForever and the whole block is one run; a continuously
-    // varying source degenerates to per-sample runs.
-    int done = 0;
-    while (done < n) {
-        magnetics::FieldTick tick;
-        const std::uint64_t end = field_source_->constant_until(sample_index_, &tick);
-        apply_field_tick(tick);
-        const auto remaining = static_cast<std::uint64_t>(n - done);
-        const std::uint64_t span = end > sample_index_ ? end - sample_index_ : 1;
-        const int run = static_cast<int>(std::min(remaining, span));
-        step_block_run(dt_s, run, out, done);
-        done += run;
-    }
-}
-
-void FrontEnd::step_block_run(double dt_s, int n, FrontEndBlock& out, int offset) {
-    if (n <= 0) return;
-    std::uint8_t* det[2] = {out.detector[0].data() + offset,
-                            out.detector[1].data() + offset};
-    std::uint8_t* valid[2] = {out.valid[0].data() + offset,
-                              out.valid[1].data() + offset};
-    double* power = out.power_w.data() + offset;
-    if (!enabled_) {
-        // Gated off: sensors relax at zero drive, leakage power only.
-        for (auto& s : sensors_) s.step_block_constant(0.0, dt_s, n);
-        const double leak = momentary_power_w(0.0);
-        std::fill_n(power, n, leak);
-        finish_samples(n, det[0], det[1], valid[0], valid[1]);
-        return;
-    }
-    blk_i_.resize(static_cast<std::size_t>(n));
-    blk_v_.resize(static_cast<std::size_t>(n));
-    oscillator_.step_block(dt_s, n, blk_i_.data());
-    const double r_load = config_.sensor.r_excitation_ohm;
-    vi_.drive_block(blk_i_.data(), r_load, n, blk_i_.data());  // now i_drive
-
-    if (config_.mode == FrontEndMode::Multiplexed) {
-        const auto active = static_cast<std::size_t>(mux_.selected());
-        const auto idle = 1 - active;
-        mux_.step_block(dt_s, n, valid[active]);
-        sensors_[active].step_block(blk_i_.data(), dt_s, n, blk_v_.data());
-        add_noise_block(dt_s, n, blk_v_.data());
-        sensors_[idle].step_block_constant(0.0, dt_s, n);
-        detectors_[active].step_block(blk_v_.data(), n, det[active]);
-    } else {
-        blk_iy_.resize(static_cast<std::size_t>(n));
-        blk_vy_.resize(static_cast<std::size_t>(n));
-        oscillator_y_.step_block(dt_s, n, blk_iy_.data());
-        vi_.drive_block(blk_iy_.data(), r_load, n, blk_iy_.data());
-        sensors_[0].step_block(blk_i_.data(), dt_s, n, blk_v_.data());
-        sensors_[1].step_block(blk_iy_.data(), dt_s, n, blk_vy_.data());
-        add_noise_block_pair(dt_s, n, blk_v_.data(), blk_vy_.data());
-        detectors_[0].step_block(blk_v_.data(), n, det[0]);
-        detectors_[1].step_block(blk_vy_.data(), n, det[1]);
-        std::fill_n(valid[0], n, std::uint8_t{1});
-        std::fill_n(valid[1], n, std::uint8_t{1});
-    }
-
-    // Supply power, same grouping as momentary_power_w().
-    const int instances = config_.mode == FrontEndMode::Multiplexed ? 1 : 2;
-    const double bias = config_.osc_bias_a * oscillator_count() +
-                        (config_.vi_bias_a + config_.det_bias_a) * instances;
-    const double supply = config_.supply_v;
-    const double* i_drive = blk_i_.data();
-    for (int k = 0; k < n; ++k) {
-        const double drive = std::fabs(i_drive[k]) * instances;
-        power[k] = (bias + drive) * supply;
-    }
-
-    finish_samples(n, det[0], det[1], valid[0], valid[1]);
 }
 
 void FrontEnd::reset() {

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "analog/detector.hpp"
 #include "analog/mux.hpp"
@@ -84,9 +83,9 @@ struct FrontEndSample {
 /// valid streams — the seam the fault subsystem (src/fault) injects
 /// run-time stream faults through, and the reason fault injection is
 /// engine-agnostic: the hook runs on the per-sample streams AFTER the
-/// analogue stages, so a ScalarEngine (n = 1 per call) and a
-/// BlockEngine (n = block per call) present the identical sample
-/// sequence to the identical transform.
+/// analogue stages, so the scalar reference (n = 1 per call) and the
+/// lane engine (n = one plan stage per call) present the identical
+/// sample sequence to the identical transform.
 ///
 /// Contract: on_samples() must behave as a pure sequential function of
 /// the sample stream — sample `first_index + k` may depend only on the
@@ -109,7 +108,7 @@ public:
 /// the current observation window — the raw material of the
 /// fault-subsystem health checks (toggle watchdog, duty-cycle sanity,
 /// edge-rate check). Collected by the FrontEnd itself so the numbers
-/// are identical under scalar and block stepping.
+/// are identical under scalar and lane stepping.
 struct StreamStats {
     std::uint64_t samples = 0;        ///< samples emitted (valid or not)
     std::uint64_t valid_samples = 0;  ///< samples with the valid flag set
@@ -147,21 +146,6 @@ struct StreamStatsSnapshot {
     }
 };
 
-/// Flat-array outputs of one block of front-end steps (see
-/// FrontEnd::step_block). Element k of each array is what step() sample
-/// k of the block would have reported. Buffers keep their capacity
-/// across blocks, so a reused FrontEndBlock allocates only once.
-struct FrontEndBlock {
-    std::array<std::vector<std::uint8_t>, 2> detector;  ///< 0/1 per channel
-    std::array<std::vector<std::uint8_t>, 2> valid;     ///< 0/1 per channel
-    std::vector<double> power_w;                        ///< momentary power [W]
-
-    void resize(int n);
-    [[nodiscard]] int size() const noexcept {
-        return static_cast<int>(power_w.size());
-    }
-};
-
 /// The analogue section.
 class FrontEnd {
 public:
@@ -178,7 +162,7 @@ public:
     /// freezes the environment at its last applied values). The source
     /// is queried at the FrontEnd's monotone sample index — the
     /// scenario playhead — and its tick is applied to both sensors
-    /// before each sample on every engine path (scalar, block, lanes).
+    /// before each sample on every engine path (scalar and lanes).
     /// The current tick is applied immediately on installation so
     /// external_field() readers (range checks, lane gathers) see it.
     void set_field_source(std::shared_ptr<const magnetics::FieldSource> source);
@@ -215,14 +199,6 @@ public:
     /// Advances the front end by dt and returns the sampled outputs.
     FrontEndSample step(double dt_s);
 
-    /// Advances `n` steps of dt in one block, filling `out` with the
-    /// per-sample detector/valid/power streams. State afterwards — and
-    /// every emitted sample — is bit-identical to n step() calls; the
-    /// block form hoists the enable/mode/noise branches, runs each stage
-    /// over flat arrays, and steps the de-selected sensor of the
-    /// multiplexed mode through an O(1) constant-drive fast path.
-    void step_block(double dt_s, int n, FrontEndBlock& out);
-
     /// Momentary supply power for the current enable/mode state [W].
     [[nodiscard]] double momentary_power_w(double i_excitation_a) const;
 
@@ -237,7 +213,7 @@ public:
     // --- Fault/observation seams (src/fault) -------------------------
 
     /// Attaches a non-owning stream hook (nullptr detaches). Applied to
-    /// every emitted sample by both step() and step_block().
+    /// every emitted sample by step() and by ingest_samples().
     void set_sample_tap(SampleTap* tap) noexcept { tap_ = tap; }
     [[nodiscard]] SampleTap* sample_tap() const noexcept { return tap_; }
 
@@ -345,9 +321,9 @@ public:
     }
 
     /// Feeds a block of already-computed emitted streams through the
-    /// tap -> sample-index -> statistics pipeline, exactly as
-    /// step_block() does for streams it computed itself. The lane
-    /// engine uses this for members with a tap attached (fault
+    /// tap -> sample-index -> statistics pipeline, exactly as step()
+    /// does for its one sample. The lane engine uses this for members
+    /// with a tap attached (fault
     /// injection), so stream faults see the same chunks, mutate the
     /// same bytes and update the same statistics as on the per-member
     /// path. The arrays are mutated in place by the tap.
@@ -378,29 +354,9 @@ private:
     std::array<StreamStats, 2> stats_{};
     std::array<std::uint8_t, 2> stats_prev_{};      ///< last valid detector value
     std::array<bool, 2> stats_has_prev_{};
-    // Scratch buffers for step_block (capacity persists across blocks).
-    std::vector<double> blk_i_;
-    std::vector<double> blk_iy_;
-    std::vector<double> blk_v_;
-    std::vector<double> blk_vy_;
 
     /// One band-limited noise sample for a step of length dt.
     double noise_sample(double dt_s);
-
-    /// Adds one noise sample per element to `v` (same stream/order as n
-    /// noise_sample() calls). No-op when noise is configured off.
-    void add_noise_block(double dt_s, int n, double* v);
-
-    /// Simultaneous-mode variant: per sample adds one noise draw to
-    /// vx[k] then one to vy[k], matching the scalar interleaving.
-    void add_noise_block_pair(double dt_s, int n, double* vx, double* vy);
-
-    /// One run of block samples under the already-applied environment,
-    /// writing outputs at `offset` into pre-sized buffers. step_block()
-    /// chunks a block into runs at the field source's constancy
-    /// boundaries and calls this per run; without a source the whole
-    /// block is one run, which is the historic (bit-identical) path.
-    void step_block_run(double dt_s, int n, FrontEndBlock& out, int offset);
 
     /// Runs the sample tap (if attached) over a block of emitted
     /// streams, advances the sample index and folds the (post-tap)

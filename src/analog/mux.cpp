@@ -18,16 +18,6 @@ bool AnalogMux::step(double dt_s) {
     return settled();
 }
 
-void AnalogMux::step_block(double dt_s, int n, std::uint8_t* settled_out) {
-    double since = since_switch_s_;
-    const double settle = settle_s_;
-    for (int k = 0; k < n; ++k) {
-        since += dt_s;
-        settled_out[k] = since >= settle ? 1 : 0;
-    }
-    since_switch_s_ = since;
-}
-
 void AnalogMux::reset() noexcept {
     channel_ = Channel::X;
     since_switch_s_ = 0.0;

@@ -61,54 +61,6 @@ double TriangleOscillator::step(double dt_s) {
     return out;
 }
 
-void TriangleOscillator::step_block(double dt_s, int n, double* out) {
-    if (!(dt_s > 0.0)) throw std::invalid_argument("TriangleOscillator: dt must be > 0");
-    if (n <= 0) return;
-    // State in registers; expression shapes match step() exactly so the
-    // emitted samples are bit-identical to the scalar path.
-    double time_s = time_s_;
-    double phase = phase_;
-    double correction = correction_a_;
-    double period_integral = period_integral_;
-    double period_time = period_time_;
-    const double freq = config_.frequency_hz * fault_.frequency_scale;
-    const double gain =
-        config_.amplitude_a * (1.0 + config_.amplitude_error) * fault_.amplitude_scale;
-    const double curvature = config_.curvature;
-    const double dc_offset = config_.dc_offset_a + fault_.extra_dc_a;
-    const bool correct = config_.offset_correction && !fault_.correction_stuck;
-    const double correction_gain = config_.correction_gain;
-    for (int k = 0; k < n; ++k) {
-        time_s += dt_s;
-        phase += dt_s * freq;
-        bool period_wrapped = false;
-        if (phase >= 1.0) {
-            phase -= std::floor(phase);
-            period_wrapped = true;
-        }
-        const double w = unit_triangle(phase);
-        const double shaped = w + curvature * (w * w * w - w);
-        const double o = gain * shaped + dc_offset + correction;
-        period_integral += o * dt_s;
-        period_time += dt_s;
-        if (period_wrapped) {
-            if (correct && period_time > 0.0) {
-                const double mean = period_integral / period_time;
-                correction -= correction_gain * mean;
-            }
-            period_integral = 0.0;
-            period_time = 0.0;
-        }
-        out[k] = o;
-    }
-    time_s_ = time_s;
-    phase_ = phase;
-    output_ = out[n - 1];
-    correction_a_ = correction;
-    period_integral_ = period_integral;
-    period_time_ = period_time;
-}
-
 void TriangleOscillator::reset() {
     time_s_ = 0.0;
     phase_ = 0.0;

@@ -55,11 +55,6 @@ public:
     /// Advances by dt and returns the (corrected) output current [A].
     double step(double dt_s);
 
-    /// Advances `n` steps of dt, writing each step's output current into
-    /// `out`. Bit-identical to n step() calls; config loads and the
-    /// offset-correction-enable test are hoisted out of the loop.
-    void step_block(double dt_s, int n, double* out);
-
     /// Output of the last step [A].
     [[nodiscard]] double output() const noexcept { return output_; }
 
@@ -75,8 +70,7 @@ public:
     }
 
     /// Engages (or, with a default-constructed value, clears) a run-time
-    /// fault on the generator. Applied identically per sample by step()
-    /// and step_block().
+    /// fault on the generator. Applied per sample by step().
     void set_fault(const OscillatorFault& fault) noexcept { fault_ = fault; }
     [[nodiscard]] const OscillatorFault& fault() const noexcept { return fault_; }
 

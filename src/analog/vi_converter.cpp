@@ -39,24 +39,6 @@ double ViConverter::drive(double i_command_a, double r_load_ohm) const {
     return i;
 }
 
-void ViConverter::drive_block(const double* i_command_a, double r_load_ohm, int n,
-                              double* out) const {
-    if (n <= 0) return;
-    const double lin = config_.nonlinearity /
-                       (1.0 + r_load_ohm / config_.linearising_r_ohm);
-    const double limit = compliance_limit(r_load_ohm);
-    const double gain = 1.0 + config_.gain_error;
-    const double full_scale = config_.full_scale_a;
-    const double lin_fs = lin * full_scale;
-    for (int k = 0; k < n; ++k) {
-        const double u = i_command_a[k] / full_scale;
-        // Same association as drive(): (((lin*fs)*u)*u)*u.
-        double i = gain * i_command_a[k] + lin_fs * u * u * u;
-        i = std::clamp(i, -limit, limit);
-        out[k] = i;
-    }
-}
-
 double ViConverter::max_drivable_resistance(double i_peak_a) const {
     if (!(i_peak_a > 0.0)) {
         throw std::invalid_argument("ViConverter: peak current must be > 0");

@@ -32,13 +32,6 @@ public:
     /// nonlinearity and supply-compliance clipping.
     [[nodiscard]] double drive(double i_command_a, double r_load_ohm) const;
 
-    /// Block form of drive(): converts `n` command samples into
-    /// delivered currents (in place allowed: `out == i_command`). The
-    /// load-dependent linearisation and compliance limit are hoisted;
-    /// results are bit-identical to n drive() calls.
-    void drive_block(const double* i_command_a, double r_load_ohm, int n,
-                     double* out) const;
-
     /// Maximum current deliverable into the given load [A].
     [[nodiscard]] double compliance_limit(double r_load_ohm) const;
 

@@ -67,8 +67,10 @@ struct CompassConfig {
     double saturation_margin = 1.5;
 
     /// Simulation engine the measurement loop runs on. Both engines are
-    /// bit-identical in results (see src/sim/engine.hpp); Block is the
-    /// fast default, Scalar the per-sample reference.
+    /// bit-identical in results (see src/sim/engine.hpp); Block — this
+    /// member through the lane engine's time form, the scalar loop where
+    /// the lane engine refuses the config — is the fast default, Scalar
+    /// the per-sample reference.
     sim::EngineKind engine = sim::EngineKind::Block;
 };
 
@@ -146,7 +148,7 @@ public:
 
     /// Installs a per-tick environment provider — typically a
     /// compile_scenario() result — consumed by whichever engine runs
-    /// the measurement (scalar, block or fleet lanes). The provider is
+    /// the measurement (scalar, Block or fleet lanes). The provider is
     /// queried at the front end's monotone sample counter, so scenario
     /// time advances across measurements and survives snapshot/restore
     /// (reinstall the same source on the restored compass; it is

@@ -33,7 +33,7 @@ struct CounterHardware {
     /// at the end of the count window. Deferring the throw to the
     /// window boundary keeps the abort point (and every piece of
     /// front-end/counter state at the abort) bit-identical between the
-    /// scalar and block engines, which consume the window in different
+    /// scalar and lane engines, which consume the window in different
     /// chunk sizes.
     bool trap_on_overflow = false;
 };

@@ -7,9 +7,9 @@
 ///  - *Stream faults* (detector stuck-at, pickup-winding open, noise
 ///    bursts) are applied through the FrontEnd's SampleTap seam, i.e. on
 ///    the per-sample detector/valid streams AFTER the analogue stages.
-///    Because the tap sees the identical sample sequence under a
-///    ScalarEngine (one sample per call) and a BlockEngine (a block per
-///    call), and every transform here is a pure sequential function of
+///    Because the tap sees the identical sample sequence under the
+///    ScalarEngine (one sample per call) and the lane engine (one plan
+///    stage per call), and every transform here is a pure sequential function of
 ///    the stream, an armed injector is bit-identical across engines.
 ///    Stream faults support the full persistence model (permanent /
 ///    transient / intermittent), windowed per sample.
@@ -18,8 +18,8 @@
 ///    frequency / amplitude / dc drift, excitation collapse, stuck
 ///    multiplexer, counter stuck bit) reconfigure a stage through its
 ///    fault seam at arm() time and are undone by disarm(). They are
-///    permanent by construction: engaging a parametric fault mid-block
-///    would make results depend on block boundaries, which the engine
+///    permanent by construction: engaging a parametric fault mid-advance
+///    would make results depend on advance boundaries, which the engine
 ///    bit-identity contract forbids.
 ///
 /// Fault windows are expressed in samples relative to the arm() call;

@@ -23,10 +23,6 @@ void require_state_size(const std::vector<double>& state, std::size_t expected,
 
 }  // namespace
 
-void CoreModel::advance_block(const double* h, double* m_out, int n) {
-    for (int k = 0; k < n; ++k) m_out[k] = advance(h[k]);
-}
-
 // ---------------------------------------------------------------- TanhCore
 
 TanhCore::TanhCore(double ms, double hk, double ms_temp_coeff_per_c,
@@ -38,13 +34,11 @@ TanhCore::TanhCore(double ms, double hk, double ms_temp_coeff_per_c,
 }
 
 double TanhCore::ms_at(double temp_c) const noexcept {
-    const double v = ms0_ * (1.0 + ms_tc_ * (temp_c - t_ref_c_));
-    return v > 1e-12 ? v : 1e-12;
+    return drifted(ms0_, ms_tc_, temp_c, t_ref_c_);
 }
 
 double TanhCore::hk_at(double temp_c) const noexcept {
-    const double v = hk0_ * (1.0 + hk_tc_ * (temp_c - t_ref_c_));
-    return v > 1e-12 ? v : 1e-12;
+    return drifted(hk0_, hk_tc_, temp_c, t_ref_c_);
 }
 
 void TanhCore::set_temperature(double temp_c) {
@@ -63,15 +57,6 @@ double TanhCore::magnetisation(double h) const {
 double TanhCore::advance(double h) {
     last_h_ = h;
     return magnetisation(h);
-}
-
-void TanhCore::advance_block(const double* h, double* m_out, int n) {
-    if (n <= 0) return;
-    // Same expression as magnetisation(); the division is kept (not
-    // turned into a reciprocal multiply) so results stay bit-identical
-    // to the scalar path.
-    for (int k = 0; k < n; ++k) m_out[k] = ms_ * util::simd::tanh1(h[k] / hk_);
-    last_h_ = h[n - 1];
 }
 
 double TanhCore::susceptibility() const {
@@ -111,9 +96,17 @@ double langevin_slope(double x) {
 
 }  // namespace
 
-LangevinCore::LangevinCore(double ms, double a) : ms_(ms), a_(a) {
+LangevinCore::LangevinCore(double ms, double a, double ms_temp_coeff_per_c,
+                           double a_temp_coeff_per_c, double t_ref_c)
+    : ms_(ms), a_(a), ms0_(ms), a0_(a), ms_tc_(ms_temp_coeff_per_c),
+      a_tc_(a_temp_coeff_per_c), t_ref_c_(t_ref_c) {
     require_positive(ms, "LangevinCore ms");
     require_positive(a, "LangevinCore a");
+}
+
+void LangevinCore::set_temperature(double temp_c) {
+    ms_ = drifted(ms0_, ms_tc_, temp_c, t_ref_c_);
+    a_ = drifted(a0_, a_tc_, temp_c, t_ref_c_);
 }
 
 double LangevinCore::magnetisation(double h) const { return ms_ * langevin(h / a_); }
@@ -121,12 +114,6 @@ double LangevinCore::magnetisation(double h) const { return ms_ * langevin(h / a
 double LangevinCore::advance(double h) {
     last_h_ = h;
     return magnetisation(h);
-}
-
-void LangevinCore::advance_block(const double* h, double* m_out, int n) {
-    if (n <= 0) return;
-    for (int k = 0; k < n; ++k) m_out[k] = ms_ * langevin(h[k] / a_);
-    last_h_ = h[n - 1];
 }
 
 double LangevinCore::susceptibility() const {
@@ -148,7 +135,11 @@ void LangevinCore::load_state(const std::vector<double>& state) {
 
 // ------------------------------------------------------- JilesAthertonCore
 
-JilesAthertonCore::JilesAthertonCore(const JilesAthertonParams& p) : p_(p) {
+JilesAthertonCore::JilesAthertonCore(const JilesAthertonParams& p,
+                                     double ms_temp_coeff_per_c,
+                                     double a_temp_coeff_per_c, double t_ref_c)
+    : p_(p), ms_(p.ms), a_(p.a), ms_tc_(ms_temp_coeff_per_c),
+      a_tc_(a_temp_coeff_per_c), t_ref_c_(t_ref_c) {
     require_positive(p.ms, "JilesAtherton ms");
     require_positive(p.a, "JilesAtherton a");
     require_positive(p.k, "JilesAtherton k");
@@ -156,12 +147,17 @@ JilesAthertonCore::JilesAthertonCore(const JilesAthertonParams& p) : p_(p) {
     if (p.alpha < 0.0) throw std::invalid_argument("JilesAtherton alpha >= 0");
 }
 
+void JilesAthertonCore::set_temperature(double temp_c) {
+    ms_ = drifted(p_.ms, ms_tc_, temp_c, t_ref_c_);
+    a_ = drifted(p_.a, a_tc_, temp_c, t_ref_c_);
+}
+
 double JilesAthertonCore::anhysteretic(double he) const {
-    return p_.ms * langevin(he / p_.a);
+    return ms_ * langevin(he / a_);
 }
 
 double JilesAthertonCore::anhysteretic_slope(double he) const {
-    return (p_.ms / p_.a) * langevin_slope(he / p_.a);
+    return (ms_ / a_) * langevin_slope(he / a_);
 }
 
 double JilesAthertonCore::advance(double h) {
@@ -170,7 +166,7 @@ double JilesAthertonCore::advance(double h) {
     // approach zero near turning points; it is floored to keep dM/dH finite.
     const double dh_total = h - h_;
     if (dh_total == 0.0) return m_;
-    const double max_step = p_.a / 10.0;
+    const double max_step = a_ / 10.0;
     const int n_sub = std::max(1, static_cast<int>(std::ceil(std::fabs(dh_total) / max_step)));
     const double dh = dh_total / n_sub;
     const double delta = dh > 0.0 ? 1.0 : -1.0;
@@ -190,7 +186,7 @@ double JilesAthertonCore::advance(double h) {
         h_ += dh;
         last_dmdh_ = dmdh;
     }
-    m_ = std::clamp(m_, -p_.ms, p_.ms);
+    m_ = std::clamp(m_, -ms_, ms_);
     return m_;
 }
 

@@ -36,13 +36,6 @@ public:
     /// callers must feed a time-ordered sequence of fields.
     virtual double advance(double h) = 0;
 
-    /// Advances through `n` time-ordered fields, writing the
-    /// magnetisation for each into `m_out`. Semantically identical to n
-    /// advance() calls (bit-identical results); concrete models override
-    /// it with a loop that skips the per-sample virtual dispatch, which
-    /// is what the block simulation engine runs on.
-    virtual void advance_block(const double* h, double* m_out, int n);
-
     /// Differential susceptibility dM/dH at the current state (used for
     /// the small-signal inductance of the excitation coil, which the
     /// paper's Figure 4 shows collapsing at saturation).
@@ -58,9 +51,11 @@ public:
     /// pulse-position method keys off this threshold.
     [[nodiscard]] virtual double knee_field() const = 0;
 
-    /// Sets the ambient core temperature [deg C]. The behavioural
-    /// TanhCore scales Ms and Hk linearly in (T - Tref) (see TanhCore);
-    /// the model-sensitivity cores (Langevin, Jiles-Atherton) ignore it.
+    /// Sets the ambient core temperature [deg C]. Every model scales its
+    /// saturation magnetisation and its knee-setting field (Hk for
+    /// TanhCore, the shape parameter `a` for Langevin and
+    /// Jiles-Atherton) with drifted() at the coefficients it was built
+    /// with; the default zero coefficients leave them untouched.
     /// Temperature is configuration-like, not evolving state: it is NOT
     /// part of save_state()/load_state() — the environment (FieldSource)
     /// re-applies it on every tick, so a restored core converges on the
@@ -78,17 +73,22 @@ public:
     virtual void load_state(const std::vector<double>& state) = 0;
 };
 
-/// Anhysteretic hyperbolic-tangent core: M(H) = Ms(T) * tanh(H / Hk(T)).
-///
-/// Temperature model (motivated by fluxgate temperature-compensation
-/// practice): both material parameters drift linearly around a
-/// reference temperature,
-///     Ms(T) = Ms0 (1 + a_ms (T - Tref)),
-///     Hk(T) = Hk0 (1 + a_hk (T - Tref)),
+/// Temperature model of every core (motivated by fluxgate
+/// temperature-compensation practice): a material parameter drifts
+/// linearly around a reference temperature,
+///     v(T) = v0 (1 + coeff (T - Tref)),
 /// floored to a tiny positive value so a pathological scenario cannot
-/// drive them through zero. The default coefficients are exactly 0, in
-/// which case the effective values are bit-identical to Ms0/Hk0 and the
-/// model behaves precisely as the historic temperature-free core.
+/// drive it through zero. With coeff exactly 0 the result is v0 bit for
+/// bit, so a temperature-free core behaves precisely as the historic
+/// model.
+[[nodiscard]] inline double drifted(double v0, double coeff_per_c, double temp_c,
+                                    double t_ref_c) noexcept {
+    const double v = v0 * (1.0 + coeff_per_c * (temp_c - t_ref_c));
+    return v > 1e-12 ? v : 1e-12;
+}
+
+/// Anhysteretic hyperbolic-tangent core: M(H) = Ms(T) * tanh(H / Hk(T)),
+/// with Ms and Hk drifted() in temperature.
 class TanhCore final : public CoreModel {
 public:
     /// \param ms saturation magnetisation at Tref [A/m]
@@ -100,7 +100,6 @@ public:
              double hk_temp_coeff_per_c = 0.0, double t_ref_c = 25.0);
 
     double advance(double h) override;
-    void advance_block(const double* h, double* m_out, int n) override;
     [[nodiscard]] double susceptibility() const override;
     void reset() override;
     [[nodiscard]] double saturation_magnetisation() const override { return ms_; }
@@ -113,8 +112,8 @@ public:
     /// Closed-form magnetisation (stateless evaluation).
     [[nodiscard]] double magnetisation(double h) const;
 
-    /// Effective Ms/Hk at an arbitrary temperature — the exact
-    /// expressions set_temperature() installs. The lane engine fills
+    /// Effective Ms/Hk at an arbitrary temperature — the drifted()
+    /// values set_temperature() installs. The lane engine fills
     /// its per-sample parameter stripes through these, so the vector
     /// kernel sees bit-identical values to the scalar path.
     [[nodiscard]] double ms_at(double temp_c) const noexcept;
@@ -136,17 +135,24 @@ private:
     double last_h_ = 0.0;
 };
 
-/// Anhysteretic Langevin core: M(H) = Ms * (coth(H/a) - a/H).
+/// Anhysteretic Langevin core: M(H) = Ms(T) * (coth(H/a(T)) - a(T)/H),
+/// with Ms and a drifted() in temperature.
 class LangevinCore final : public CoreModel {
 public:
-    LangevinCore(double ms, double a);
+    /// \param ms saturation magnetisation at Tref [A/m]
+    /// \param a shape parameter at Tref [A/m] (the knee sits near 3a)
+    /// \param ms_temp_coeff_per_c relative Ms drift per deg C
+    /// \param a_temp_coeff_per_c relative a drift per deg C
+    /// \param t_ref_c reference temperature [deg C]
+    LangevinCore(double ms, double a, double ms_temp_coeff_per_c = 0.0,
+                 double a_temp_coeff_per_c = 0.0, double t_ref_c = 25.0);
 
     double advance(double h) override;
-    void advance_block(const double* h, double* m_out, int n) override;
     [[nodiscard]] double susceptibility() const override;
     void reset() override;
     [[nodiscard]] double saturation_magnetisation() const override { return ms_; }
     [[nodiscard]] double knee_field() const override { return 3.0 * a_; }
+    void set_temperature(double temp_c) override;
     [[nodiscard]] std::unique_ptr<CoreModel> clone() const override;
     [[nodiscard]] std::vector<double> save_state() const override;
     void load_state(const std::vector<double>& state) override;
@@ -154,8 +160,13 @@ public:
     [[nodiscard]] double magnetisation(double h) const;
 
 private:
-    double ms_;
-    double a_;
+    double ms_;        ///< effective Ms at the current temperature
+    double a_;         ///< effective a at the current temperature
+    double ms0_;       ///< Ms at Tref
+    double a0_;        ///< a at Tref
+    double ms_tc_;     ///< relative Ms drift [1/degC]
+    double a_tc_;      ///< relative a drift [1/degC]
+    double t_ref_c_;   ///< reference temperature [degC]
     double last_h_ = 0.0;
 };
 
@@ -172,15 +183,24 @@ struct JilesAthertonParams {
 ///   dM/dH = ((Man-M)/(delta k - alpha (Man-M)) + c dMan/dHe) / (1 + c ... )
 /// with an explicit sub-stepped update; accurate enough for waveform-
 /// level studies at the excitation frequencies of interest (8 kHz).
+/// Ms and a are drifted() in temperature; params() keeps the values at
+/// Tref.
 class JilesAthertonCore final : public CoreModel {
 public:
-    explicit JilesAthertonCore(const JilesAthertonParams& p);
+    /// \param ms_temp_coeff_per_c relative Ms drift per deg C
+    /// \param a_temp_coeff_per_c relative a drift per deg C
+    /// \param t_ref_c reference temperature [deg C]
+    explicit JilesAthertonCore(const JilesAthertonParams& p,
+                               double ms_temp_coeff_per_c = 0.0,
+                               double a_temp_coeff_per_c = 0.0,
+                               double t_ref_c = 25.0);
 
     double advance(double h) override;
     [[nodiscard]] double susceptibility() const override { return last_dmdh_; }
     void reset() override;
-    [[nodiscard]] double saturation_magnetisation() const override { return p_.ms; }
-    [[nodiscard]] double knee_field() const override { return 3.0 * p_.a; }
+    [[nodiscard]] double saturation_magnetisation() const override { return ms_; }
+    [[nodiscard]] double knee_field() const override { return 3.0 * a_; }
+    void set_temperature(double temp_c) override;
     [[nodiscard]] std::unique_ptr<CoreModel> clone() const override;
     [[nodiscard]] std::vector<double> save_state() const override;
     void load_state(const std::vector<double>& state) override;
@@ -192,7 +212,12 @@ private:
     [[nodiscard]] double anhysteretic(double he) const;
     [[nodiscard]] double anhysteretic_slope(double he) const;
 
-    JilesAthertonParams p_;
+    JilesAthertonParams p_;  ///< as configured (Ms and a at Tref)
+    double ms_;              ///< effective Ms at the current temperature
+    double a_;               ///< effective a at the current temperature
+    double ms_tc_;           ///< relative Ms drift [1/degC]
+    double a_tc_;            ///< relative a drift [1/degC]
+    double t_ref_c_;         ///< reference temperature [degC]
     double m_ = 0.0;
     double h_ = 0.0;
     double last_dmdh_ = 0.0;

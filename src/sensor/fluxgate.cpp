@@ -54,56 +54,6 @@ double FluxgateSensor::step(double i_excitation_a, double dt_s) {
     return v_pickup_;
 }
 
-void FluxgateSensor::step_block(const double* i_exc, double dt_s, int n, double* v_out) {
-    if (!(dt_s > 0.0)) throw std::invalid_argument("FluxgateSensor::step: dt must be > 0");
-    if (n <= 0) return;
-    blk_h_.resize(static_cast<std::size_t>(n));
-    blk_m_.resize(static_cast<std::size_t>(n));
-    double* h = blk_h_.data();
-    double* m = blk_m_.data();
-    // Hoisted parameter products; grouping matches the scalar step()
-    // expressions exactly (left-to-right association) so every sample is
-    // bit-identical to the one-at-a-time path.
-    const double fpa = effective_field_per_amp();
-    const double h_ext = h_ext_;
-    for (int k = 0; k < n; ++k) h[k] = fpa * i_exc[k] + h_ext;
-    core_->advance_block(h, m, n);
-
-    const double na_pickup = params_.n_pickup * params_.core_area_m2;
-    const double na_exc = params_.n_excitation * params_.core_area_m2;
-    const double r_exc = params_.r_excitation_ohm;
-    const auto b_at = [&](int k) { return magnetics::kMu0 * (h[k] + m[k]); };
-    // Only the last sample's excitation voltage survives the block, so
-    // it is computed once below from the last two excitation linkages.
-    const bool first = first_step_;
-    const double le_entry = lambda_exc_prev_;
-    double lp_prev = lambda_pickup_prev_;
-    int k = 0;
-    if (first) {
-        lp_prev = na_pickup * b_at(0);
-        v_out[0] = 0.0;
-        first_step_ = false;
-        k = 1;
-    }
-    for (; k < n; ++k) {
-        const double lp = na_pickup * b_at(k);
-        v_out[k] = (lp - lp_prev) / dt_s;
-        lp_prev = lp;
-    }
-    const double le_last = na_exc * b_at(n - 1);
-    if (first && n == 1) {
-        v_excitation_ = r_exc * i_exc[0];
-    } else {
-        const double le_before = n >= 2 ? na_exc * b_at(n - 2) : le_entry;
-        v_excitation_ = r_exc * i_exc[n - 1] + (le_last - le_before) / dt_s;
-    }
-    h_core_ = h[n - 1];
-    b_core_ = b_at(n - 1);
-    v_pickup_ = v_out[n - 1];
-    lambda_pickup_prev_ = lp_prev;
-    lambda_exc_prev_ = le_last;
-}
-
 void FluxgateSensor::step_block_constant(double i_excitation_a, double dt_s, int n) {
     if (!(dt_s > 0.0)) throw std::invalid_argument("FluxgateSensor::step: dt must be > 0");
     if (n <= 0) return;

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "magnetics/core_model.hpp"
 #include "sensor/fluxgate_params.hpp"
@@ -73,15 +72,9 @@ public:
     /// Returns the open-circuit pickup voltage [V] over this step.
     double step(double i_excitation_a, double dt_s);
 
-    /// Advances `n` steps with the excitation currents in `i_exc`,
-    /// writing each step's pickup voltage into `v_out`. Bit-identical
-    /// to n step() calls; the block form hoists parameter loads and
-    /// advances the core model with one (devirtualised) block call.
-    void step_block(const double* i_exc, double dt_s, int n, double* v_out);
-
     /// Advances `n` steps at a constant excitation current. After the
     /// first two steps the sensor state is stationary (dB/dt = 0), so
-    /// this costs O(1) instead of O(n) — the block engine's fast path
+    /// this costs O(1) instead of O(n) — the lane engine's fast path
     /// for the de-selected (idle) sensor of a multiplexed front end.
     /// Bit-identical to n step(i, dt) calls.
     void step_block_constant(double i_excitation_a, double dt_s, int n);
@@ -163,9 +156,6 @@ private:
     double lambda_pickup_prev_ = 0.0;
     double lambda_exc_prev_ = 0.0;
     bool first_step_ = true;
-    // Scratch buffers for step_block (capacity persists across blocks).
-    std::vector<double> blk_h_;
-    std::vector<double> blk_m_;
 };
 
 /// Analytic prediction of the pulse-position detector duty cycle for a

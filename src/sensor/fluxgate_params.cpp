@@ -19,16 +19,19 @@ std::unique_ptr<magnetics::CoreModel> make_core(const FluxgateParams& params,
                 params.ms_a_per_m, params.hk_a_per_m, params.ms_temp_coeff_per_c,
                 params.hk_temp_coeff_per_c, params.t_ref_c);
         case CoreKind::Langevin:
-            // Langevin knee sits near 3a.
-            return std::make_unique<magnetics::LangevinCore>(params.ms_a_per_m,
-                                                             params.hk_a_per_m / 3.0);
+            // Langevin knee sits near 3a, so a drifts with Hk.
+            return std::make_unique<magnetics::LangevinCore>(
+                params.ms_a_per_m, params.hk_a_per_m / 3.0, params.ms_temp_coeff_per_c,
+                params.hk_temp_coeff_per_c, params.t_ref_c);
         case CoreKind::JilesAtherton: {
             magnetics::JilesAthertonParams jp;
             jp.ms = params.ms_a_per_m;
             jp.a = params.hk_a_per_m / 3.0;
             jp.k = 4.0;  // mild pinning, permalloy-like
             jp.c = 0.3;
-            return std::make_unique<magnetics::JilesAthertonCore>(jp);
+            return std::make_unique<magnetics::JilesAthertonCore>(
+                jp, params.ms_temp_coeff_per_c, params.hk_temp_coeff_per_c,
+                params.t_ref_c);
         }
     }
     return nullptr;

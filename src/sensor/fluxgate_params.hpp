@@ -91,7 +91,9 @@ enum class CoreKind {
 };
 
 /// Builds a core model for the given parameters. Langevin/JA shape
-/// parameters are derived so the knee field matches params.hk_a_per_m.
+/// parameters are derived so the knee field matches params.hk_a_per_m;
+/// every kind drifts Ms and its knee with the Ms/Hk temperature
+/// coefficients.
 std::unique_ptr<magnetics::CoreModel> make_core(const FluxgateParams& params,
                                                 CoreKind kind);
 

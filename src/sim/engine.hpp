@@ -12,18 +12,17 @@
 ///
 ///  * ScalarEngine — the reference: one FrontEnd::step() per sample,
 ///    exactly the loop the compass control logic originally inlined.
-///  * BlockEngine  — advances a whole excitation period (or more) per
-///    call through the step_block() APIs of the analogue stages: flat
-///    arrays, per-sample branching hoisted, the idle multiplexed sensor
-///    on an O(1) constant-drive path, counter accumulation fused over
-///    the block.
+///  * EngineKind::Block — the fast default: each advance is one
+///    LaneEngine::advance over a single lane, which runs the lane
+///    engine's time form (sim/lane_engine.hpp). A front end the lane
+///    engine refuses (Simultaneous mode, a noisy detector) or one that
+///    is gated off takes the scalar reference loop instead.
 ///
 /// Contract: for identical front-end/counter state and identical call
 /// sequences, both engines leave identical state behind — bit-identical
 /// counter values, energy sums and noise streams (asserted by
-/// tests/sim_engine_test.cpp across headings, modes and noise). The
-/// block engine is therefore a pure throughput upgrade, not a model
-/// change.
+/// tests/sim_engine_test.cpp across headings, modes and noise). Block
+/// is therefore a pure throughput upgrade, not a model change.
 
 #include <memory>
 
@@ -37,7 +36,7 @@ namespace fxg::sim {
 /// Which engine a Compass (or bench) runs on.
 enum class EngineKind {
     Scalar,  ///< per-sample reference stepping
-    Block,   ///< block stepping over flat arrays
+    Block,   ///< one lane through the lane engine (scalar fallback)
 };
 
 [[nodiscard]] const char* to_string(EngineKind kind) noexcept;
@@ -85,31 +84,6 @@ public:
     void advance(analog::FrontEnd& front_end, analog::Channel channel, int steps,
                  double dt_s, digital::UpDownCounter* counter,
                  double& energy_j) override;
-};
-
-/// Block engine: advances in chunks through FrontEnd::step_block() with
-/// the counter fused over each chunk. Owns its scratch block, so one
-/// engine instance serves any number of sequential measurements without
-/// reallocating.
-class BlockEngine final : public SimEngine {
-public:
-    /// \param block_samples chunk size in samples; the default matches
-    ///        the compass's steps_per_period so one chunk is one
-    ///        excitation period.
-    explicit BlockEngine(int block_samples = 2048);
-
-    [[nodiscard]] EngineKind kind() const noexcept override {
-        return EngineKind::Block;
-    }
-    [[nodiscard]] const char* name() const noexcept override { return "block"; }
-    [[nodiscard]] int block_samples() const noexcept { return block_samples_; }
-    void advance(analog::FrontEnd& front_end, analog::Channel channel, int steps,
-                 double dt_s, digital::UpDownCounter* counter,
-                 double& energy_j) override;
-
-private:
-    int block_samples_;
-    analog::FrontEndBlock block_;
 };
 
 /// Engine factory (the CompassConfig::engine knob resolves through it).

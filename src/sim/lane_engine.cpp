@@ -153,8 +153,9 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
     // ---- Per-lane constants and evolving state ------------------------
     //
     // Every constant below is computed with exactly the expression the
-    // corresponding stage's step()/step_block() hoists, so the per-lane
-    // arithmetic in the kernels is bit-identical to the per-member path.
+    // corresponding stage's scalar step() evaluates per sample, so the
+    // per-lane arithmetic in the kernels is bit-identical to the
+    // per-member path.
     // Pad lanes replicate lane 0's values with all member-touching flags
     // off: the vector ops are lane-independent, so pad lanes are inert
     // ballast whose results are never scattered.
@@ -196,7 +197,7 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
         const Channel ach = f.selected();
         grp.active_ch[l] = ach;
 
-        // Oscillator (TriangleOscillator::step_block hoists).
+        // Oscillator (the constants of TriangleOscillator::step).
         const analog::TriangleOscillator& osc = f.oscillator();
         const analog::TriangleOscillatorConfig& oc = osc.config();
         const analog::OscillatorFault& ofault = osc.fault();
@@ -215,8 +216,8 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
         grp.pint[l] = os.period_integral;
         grp.ptime[l] = os.period_time;
 
-        // V-I converter (ViConverter::drive_block hoists; the converter
-        // is pure configuration, reconstructed here).
+        // V-I converter (ViConverter::drive and compliance_limit; the
+        // converter is pure configuration, reconstructed here).
         const analog::ViConverterConfig& vc = c.vi;
         const double r_load = c.sensor.r_excitation_ohm;
         const double lin = vc.nonlinearity / (1.0 + r_load / vc.linearising_r_ohm);
@@ -254,7 +255,7 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
             }
         }
 
-        // Active sensor (FluxgateSensor::step_block hoists). The stuck
+        // Active sensor (FluxgateSensor::step's products). The stuck
         // mux makes the active channel a per-lane property.
         sensor::FluxgateSensor& sen = f.sensor_mut(ach);
         const sensor::FluxgateParams& sp = sen.params();
@@ -279,7 +280,7 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
         grp.settle[l] = f.mux().settle_time_s();
         grp.since[l] = f.mux().save_state().since_switch_s;
 
-        // Active detector (Comparator::step_block hoists).
+        // Active detector (Comparator::step's offset and thresholds).
         analog::PulsePositionDetector& det = f.detector(ach);
         const analog::DetectorConfig& dcf = det.config();
         const double half_hyst = 0.5 * dcf.comparator_hysteresis_v;
@@ -293,13 +294,13 @@ void LaneEngine::gather(const LanePort* lanes, int n, int width,
         grp.prevneg01[l] = ds.prev_neg ? 1.0 : 0.0;
         grp.out01[l] = ds.out ? 1.0 : 0.0;
 
-        // Power model (FrontEnd::step_block hoists; multiplexed =>
+        // Power model (FrontEnd::momentary_power_w; multiplexed =>
         // oscillator_count() == instances == 1).
         grp.bias[l] = c.osc_bias_a * f.oscillator_count() +
                       (c.vi_bias_a + c.det_bias_a) * 1;
         grp.supply[l] = c.supply_v;
 
-        // Band-limited pickup noise (FrontEnd::add_noise_block hoists);
+        // Band-limited pickup noise (FrontEnd::noise_sample's constants);
         // draws stay on the member's own source so the lane reproduces
         // exactly the RNG stream its scalar run would consume.
         grp.lane_noise[l] = c.pickup_noise_rms_v != 0.0;
@@ -653,7 +654,7 @@ void LaneEngine::advance_stripes(Group& grp, int steps, double dt_s) {
                 // Mux settling.
                 since_v[s] = v::add(since_v[s], dt_v);
 
-                // Supply power and energy (FrontEnd::step_block tail;
+                // Supply power and energy (FrontEnd::momentary_power_w;
                 // the energy chain continues each member's running
                 // sum).
                 const v::dvec drive = v::bit_andnot(sign_v, idrv_v[s]);  // fabs
@@ -759,7 +760,7 @@ void LaneEngine::advance_stripes(Group& grp, int steps, double dt_s) {
             }
 
             // Pickup noise: per-lane scalar draws from each member's
-            // own source (FrontEnd::add_noise_block arithmetic, same
+            // own source (FrontEnd::noise_sample arithmetic, same
             // order).
             if (grp.noise) {
                 #pragma GCC unroll 8
@@ -1341,7 +1342,7 @@ void LaneEngine::advance_time_form(Group& grp, int steps, double dt_s) {
         }
         if (k0 == 0 && grp.lane_first[0]) vpb[0] = 0.0;  // no derivative yet
 
-        // Pickup noise (FrontEnd::add_noise_block arithmetic, same
+        // Pickup noise (FrontEnd::noise_sample arithmetic, same
         // order): the member's own draws, one per sample.
         const double* vdetb = vpb;
         if (noise_src != nullptr) {
@@ -1482,8 +1483,8 @@ void LaneEngine::scatter(const LanePort* lanes, const Group& grp,
         if (grp.lane_tap[l]) {
             // Replay the emitted streams through the member's tap ->
             // index -> statistics pipeline, then clock the member's
-            // counter over the post-tap bytes — exactly the block
-            // engine's ordering with one chunk per stage.
+            // counter over the post-tap bytes — the scalar path's
+            // order, with one chunk per stage.
             std::uint8_t* d_act = ach == Channel::X ? dx : dy;
             std::uint8_t* v_act = ach == Channel::X ? vx : vy;
             std::uint8_t* d_idl = ach == Channel::X ? dy : dx;

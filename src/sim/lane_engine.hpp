@@ -4,7 +4,7 @@
 /// Structure-of-arrays SIMD lane engine: one compiled plan, N fleet
 /// members per instruction.
 ///
-/// The scalar and block engines advance ONE front end at a time; their
+/// The scalar reference advances ONE front end a sample at a time; its
 /// inner loop is a chain of dependent scalar operations (oscillator ->
 /// V-I -> core tanh -> detector -> counter) that leaves the vector
 /// units idle. The lane engine turns the fleet dimension into the
@@ -19,9 +19,9 @@
 /// Contract: bit-identical to advancing every member through
 /// FrontEnd::step() / UpDownCounter::step() individually — counter
 /// values, noise streams, energy sums, stream statistics and the abort
-/// point of an overflow trap (asserted three ways against the scalar
-/// and block engines by tests/lane_engine_test.cpp and the
-/// EngineParity fuzz oracle in src/verify/).
+/// point of an overflow trap (asserted against the scalar reference by
+/// tests/lane_engine_test.cpp and the EngineParity fuzz oracle in
+/// src/verify/). EngineKind::Block is this engine over one lane.
 ///
 /// Per-member fault isolation is preserved by construction:
 ///  * Parametric faults (oscillator drift, comparator offset, stuck

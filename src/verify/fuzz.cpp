@@ -288,7 +288,7 @@ std::int64_t sign_extend(std::int64_t v, int width) {
 // ----------------------------------------------------------- oracles
 
 std::optional<std::string> run_engine_parity(const FuzzCase& c) {
-    // Three-way: scalar vs block vs SoA lane engine (batch of one), the
+    // Three-way: scalar vs Compass on Block vs a run_lanes batch, the
     // latter both bare and with a trace+probes sink attached — batch
     // spans and per-lane samples must not perturb the arithmetic.
     Rig scalar(c, sim::EngineKind::Scalar, c.counter_width_bits, c.trap_on_overflow);
@@ -632,7 +632,7 @@ std::optional<std::string> run_scenario_determinism(const FuzzCase& c) {
     // sensors), shared by every rig. Identities checked per tick while
     // the playhead advances across measurements:
     //   * determinism — two identical scalar rigs stay bit-identical;
-    //   * scalar vs block — step_block's constant_until chunking;
+    //   * scalar vs Block — the time form's per-sample environment streams;
     //   * scalar vs lanes — the SoA env-stream path (when eligible);
     //   * telemetry — a traced block rig must not perturb anything.
     const compass::MeasurementPlan plan =

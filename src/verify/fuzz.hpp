@@ -4,7 +4,8 @@
 /// Seeded differential fuzz/property harness for the compass pipeline.
 ///
 /// The library stacks four layers that all promise exact identities —
-/// scalar vs block sim::SimEngine, compiled vs rewritten
+/// the scalar reference vs the lane engine (behind Compass on
+/// EngineKind::Block and behind run_lanes), compiled vs rewritten
 /// MeasurementPlan, behavioural CORDIC vs floating atan2 (within the
 /// documented bound), finite-width counter register vs the unbounded
 /// reference, telemetry-attached vs telemetry-free execution. Those
@@ -14,9 +15,11 @@
 /// excitation ratio, counter width, fault mix) and checks one oracle
 /// pair per case:
 ///
-///   EngineParity      three-way scalar vs block vs SoA lane engine
-///                     (run_lanes batch of one, bare and with a trace
-///                     sink attached): counts, headings, energy, stream
+///   EngineParity      scalar vs Compass on Block (the time form, or
+///                     the scalar fallback where the lane engine
+///                     refuses the config) vs run_lanes batches of 1,
+///                     2, 4 or 8 (bare and with a trace sink
+///                     attached): counts, headings, energy, stream
 ///                     statistics, register state — and identical abort
 ///                     behaviour under overflow traps;
 ///   PlanRewrite       with_re_excite(plan) is bit-identical to plan on
@@ -39,14 +42,14 @@
 ///                     re-snapshot bytes are bit-identical to the
 ///                     uninterrupted run — under armed faults, attached
 ///                     sinks, finite registers and traps, across the
-///                     scalar/block/lane engines. Also proves taking a
+///                     scalar and Block engines and run_lanes. Also proves taking a
 ///                     snapshot never perturbs the donor.
 ///   ScenarioDeterminism one compiled time-varying Scenario (turns,
 ///                     anomalies, interference bursts, temperature
 ///                     drift on temp-sensitive sensors) shared by
 ///                     several fresh rigs: identical rigs produce
 ///                     bit-identical measurement traces, and the
-///                     scalar, block and SoA lane engines agree on
+///                     scalar engine, Block and run_lanes agree on
 ///                     every tick while the playhead advances across
 ///                     measurements.
 ///

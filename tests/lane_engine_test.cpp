@@ -335,7 +335,7 @@ TEST(LaneEngine, IneligibleBatchFallsBackPerMember) {
     three_way_check(configs, headings);
 }
 
-TEST(LaneEngine, ReExcitePlanFallsBackPerMember) {
+TEST(LaneEngine, ReExcitePlanOnOneLaneMatchesRun) {
     compass::Compass ref(lite_config());
     compass::Compass lane(lite_config());
     ref.set_environment(site(), 42.0);

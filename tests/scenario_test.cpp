@@ -63,6 +63,65 @@ void expect_equal_measurements(const compass::Measurement& a,
     EXPECT_EQ(a.field_in_range, b.field_in_range);
 }
 
+// The model-sensitivity cores follow the Ms/Hk temperature coefficients
+// like the tanh core: make_core passes them through, Ms and the shape
+// parameter `a` (which sets the knee, 3a) drift with the linear law
+// around Tref, JilesAthertonCore::params() keeps the configured
+// values, and a compass held at 0 and at 60 degC counts differently on
+// both engines alike. With zero coefficients temperature changes
+// nothing.
+TEST(CoreTemperature, LangevinAndJilesAthertonDriftWithTempcos) {
+    constexpr double kMsTc = 3.0e-4;
+    constexpr double kHkTc = -2.0e-3;
+    for (const sensor::CoreKind kind :
+         {sensor::CoreKind::Langevin, sensor::CoreKind::JilesAtherton}) {
+        SCOPED_TRACE(kind == sensor::CoreKind::Langevin ? "Langevin" : "JilesAtherton");
+        sensor::FluxgateParams p = sensor::FluxgateParams::design_target();
+        p.ms_temp_coeff_per_c = kMsTc;
+        p.hk_temp_coeff_per_c = kHkTc;
+        const std::unique_ptr<magnetics::CoreModel> core = sensor::make_core(p, kind);
+        core->set_temperature(60.0);
+        EXPECT_EQ(core->saturation_magnetisation(),
+                  p.ms_a_per_m * (1.0 + kMsTc * (60.0 - p.t_ref_c)));
+        EXPECT_EQ(core->knee_field(),
+                  3.0 * (p.hk_a_per_m / 3.0 * (1.0 + kHkTc * (60.0 - p.t_ref_c))));
+        if (const auto* ja =
+                dynamic_cast<const magnetics::JilesAthertonCore*>(core.get())) {
+            EXPECT_EQ(ja->params().ms, p.ms_a_per_m);
+            EXPECT_EQ(ja->params().a, p.hk_a_per_m / 3.0);
+        }
+
+        for (const bool tempcos : {true, false}) {
+            compass::CompassConfig cfg = fast_config(sim::EngineKind::Scalar);
+            cfg.steps_per_period = 2048;  // resolves the drift in count_x
+            cfg.front_end.core_kind = kind;
+            if (tempcos) {
+                cfg.front_end.sensor.ms_temp_coeff_per_c = kMsTc;
+                cfg.front_end.sensor.hk_temp_coeff_per_c = kHkTc;
+            }
+            std::int64_t count_x[2][2] = {};  // [engine][cold, hot]
+            for (const sim::EngineKind engine :
+                 {sim::EngineKind::Scalar, sim::EngineKind::Block}) {
+                cfg.engine = engine;
+                const int e = engine == sim::EngineKind::Block ? 1 : 0;
+                for (const int hot : {0, 1}) {
+                    compass::Compass c(cfg);
+                    c.set_field_source(
+                        magnetics::make_constant_field(8.0, -3.0, hot ? 60.0 : 0.0));
+                    count_x[e][hot] = c.measure().count_x;
+                }
+            }
+            EXPECT_EQ(count_x[0][0], count_x[1][0]);
+            EXPECT_EQ(count_x[0][1], count_x[1][1]);
+            if (tempcos) {
+                EXPECT_NE(count_x[0][0], count_x[0][1]);
+            } else {
+                EXPECT_EQ(count_x[0][0], count_x[0][1]);
+            }
+        }
+    }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------- compilation

@@ -183,43 +183,6 @@ TEST(Fluxgate, ValidatesStep) {
     EXPECT_THROW(fg.step(0.0, 0.0), std::invalid_argument);
 }
 
-// step_block(n) leaves exactly the state of n step() calls, including
-// the excitation voltage it computes once from the last two samples.
-TEST(Fluxgate, StepBlockStateMatchesRepeatedStep) {
-    const ExcitationSpec exc;
-    const int spp = 512;
-    const double dt = exc.period_s() / spp;
-    std::vector<double> drive(2048);
-    for (std::size_t k = 0; k < drive.size(); ++k) {
-        double phase = static_cast<double>(k % spp) / spp;
-        drive[k] = exc.amplitude_a *
-                   (phase < 0.25 ? 4.0 * phase
-                                 : phase < 0.75 ? 2.0 - 4.0 * phase : -4.0 + 4.0 * phase);
-    }
-    for (const bool first_step : {true, false}) {
-        for (const int n : {1, 2, 3, 2048}) {
-            FluxgateSensor one(FluxgateParams::design_target());
-            one.set_external_field(7.5);
-            if (!first_step) one.step(1.5e-3, dt);
-            FluxgateSensor block(one);
-            for (int k = 0; k < n; ++k) one.step(drive[static_cast<std::size_t>(k)], dt);
-            std::vector<double> v(static_cast<std::size_t>(n));
-            block.step_block(drive.data(), dt, n, v.data());
-            const FluxgateSensor::State a = one.save_state();
-            const FluxgateSensor::State b = block.save_state();
-            SCOPED_TRACE(::testing::Message() << "n=" << n << " first=" << first_step);
-            EXPECT_EQ(a.h_core, b.h_core);
-            EXPECT_EQ(a.b_core, b.b_core);
-            EXPECT_EQ(a.v_pickup, b.v_pickup);
-            EXPECT_EQ(a.v_excitation, b.v_excitation);
-            EXPECT_EQ(a.lambda_pickup_prev, b.lambda_pickup_prev);
-            EXPECT_EQ(a.lambda_exc_prev, b.lambda_exc_prev);
-            EXPECT_EQ(a.first_step, b.first_step);
-            EXPECT_EQ(one.pickup_voltage(), v.back());
-        }
-    }
-}
-
 // --------------------------------------------- duty-cycle transfer (law)
 
 class DutyTransfer : public ::testing::TestWithParam<double> {};

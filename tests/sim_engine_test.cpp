@@ -1,11 +1,13 @@
-// Cross-validation of the simulation-engine layer: the block engine
-// must be a pure throughput upgrade over the scalar reference — every
+// Cross-validation of the simulation-engine layer: the Block engine
+// (the lane engine over one member, with a scalar fallback) must be a
+// pure throughput upgrade over the scalar reference — every
 // counter value, heading and energy sum bit-identical, across headings,
 // both front-end architectures, and with band-limited pickup noise
 // running (same seed on both sides by construction).
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/compass.hpp"
@@ -13,6 +15,7 @@
 #include "magnetics/earth_field.hpp"
 #include "magnetics/units.hpp"
 #include "sim/engine.hpp"
+#include "sim/lane_engine.hpp"
 
 namespace fxg {
 namespace {
@@ -104,6 +107,80 @@ TEST(SimEngine, FactoryAndNames) {
     EXPECT_STREQ(block->name(), "block");
     EXPECT_STREQ(sim::to_string(sim::EngineKind::Scalar), "scalar");
     EXPECT_STREQ(sim::to_string(sim::EngineKind::Block), "block");
+}
+
+// Block hands a front end to the lane engine only when the lane engine
+// takes it. Simultaneous mode and a noisy detector are refused, and a
+// gated-off front end is outside the lane kernel's precondition; each
+// runs the scalar reference loop under Block, so the whole pipeline
+// state (counts, energy, register, stream statistics, sample index)
+// must equal Scalar's.
+TEST(SimEngine, BlockFallsBackToScalarBitIdentically) {
+    const magnetics::EarthField field(magnetics::microtesla(48.0), 67.0);
+    for (const bool simultaneous : {true, false}) {
+        SCOPED_TRACE(simultaneous ? "Simultaneous mode" : "detector noise");
+        compass::CompassConfig cfg =
+            sweep_config(analog::FrontEndMode::Multiplexed, 0.0, sim::EngineKind::Scalar);
+        if (simultaneous) {
+            cfg.front_end.mode = analog::FrontEndMode::Simultaneous;
+        } else {
+            cfg.front_end.detector.noise_rms_v = 1.0e-3;
+        }
+        compass::Compass scalar(cfg);
+        cfg.engine = sim::EngineKind::Block;
+        compass::Compass block(cfg);
+        ASSERT_FALSE(sim::LaneEngine::eligible(block.front_end()));
+        for (const double heading : {31.0, 200.0}) {
+            scalar.set_environment(field, heading);
+            block.set_environment(field, heading);
+            const compass::Measurement ms = scalar.measure();
+            const compass::Measurement mb = block.measure();
+            EXPECT_EQ(ms.count_x, mb.count_x) << "heading " << heading;
+            EXPECT_EQ(ms.count_y, mb.count_y) << "heading " << heading;
+            EXPECT_EQ(ms.heading_deg, mb.heading_deg) << "heading " << heading;
+            EXPECT_EQ(ms.energy_j, mb.energy_j) << "heading " << heading;
+            EXPECT_EQ(scalar.counter().count(), block.counter().count());
+            EXPECT_EQ(scalar.front_end().samples_stepped(),
+                      block.front_end().samples_stepped());
+            for (const auto ch : {analog::Channel::X, analog::Channel::Y}) {
+                const analog::StreamStats& a = scalar.front_end().stream_stats(ch);
+                const analog::StreamStats& b = block.front_end().stream_stats(ch);
+                EXPECT_EQ(a.valid_samples, b.valid_samples);
+                EXPECT_EQ(a.high_samples, b.high_samples);
+                EXPECT_EQ(a.edges, b.edges);
+            }
+        }
+    }
+
+    // Gated off: leakage power, relaxed sensors, nothing valid to count.
+    analog::FrontEnd fe_scalar;
+    analog::FrontEnd fe_block;
+    fe_scalar.enable(false);
+    fe_block.enable(false);
+    digital::UpDownCounter ctr_scalar;
+    digital::UpDownCounter ctr_block;
+    ctr_scalar.enable(true);
+    ctr_block.enable(true);
+    double e_scalar = 0.0;
+    double e_block = 0.0;
+    const double dt = 125.0e-6 / 256;
+    sim::make_engine(sim::EngineKind::Scalar)
+        ->advance(fe_scalar, analog::Channel::X, 300, dt, &ctr_scalar, e_scalar);
+    sim::make_engine(sim::EngineKind::Block)
+        ->advance(fe_block, analog::Channel::X, 300, dt, &ctr_block, e_block);
+    EXPECT_EQ(e_scalar, e_block);
+    EXPECT_EQ(ctr_scalar.count(), ctr_block.count());
+    EXPECT_EQ(fe_scalar.oscillator().time(), fe_block.oscillator().time());
+    EXPECT_EQ(fe_scalar.samples_stepped(), fe_block.samples_stepped());
+
+    // A non-positive step is rejected the same way on both engines.
+    for (const sim::EngineKind kind : {sim::EngineKind::Scalar, sim::EngineKind::Block}) {
+        analog::FrontEnd fe;
+        double e = 0.0;
+        EXPECT_THROW(sim::make_engine(kind)->advance(fe, analog::Channel::X, 4, 0.0,
+                                                     nullptr, e),
+                     std::invalid_argument);
+    }
 }
 
 // A threaded fleet must return exactly what the same members measured
